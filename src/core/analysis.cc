@@ -5,10 +5,10 @@
 
 #include "core/bounds.h"
 #include "engine/analysis_session.h"
+#include "engine/groupings.h"
 #include "info/entropy.h"
 #include "info/factorized.h"
 #include "info/j_measure.h"
-#include "relation/ops.h"
 #include "util/string_util.h"
 
 namespace ajd {
@@ -24,11 +24,16 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   if (delta <= 0.0 || delta >= 1.0) {
     return Status::InvalidArgument("delta must be in (0, 1)");
   }
-  Result<LossReport> loss = ComputeLoss(r, tree);
+  // Every count below — |R'|, the support join sizes, the domain sizes,
+  // and the KL divergence — reads the session's partitions at ONE pin, and
+  // the separator class labels the loss builds are reused by the support
+  // MVD losses.
+  PinnedGroupings groupings(session, r);
+  Result<LossReport> loss = ComputeLoss(&groupings, tree);
   if (!loss.ok()) return loss.status();
 
   AjdAnalysis out;
-  out.n = r.NumRows();
+  out.n = groupings.rows();
   out.loss = loss.value();
   out.delta = delta;
 
@@ -37,8 +42,7 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   // walk overlapping sublattices of the same attribute lattice.
   EntropyCalculator calc(session, &r);
   out.j = JMeasure(&calc, tree);
-  FactorizedDistribution pt(r, tree);
-  out.kl = pt.KlFromEmpirical();
+  out.kl = KlFromEmpirical(&groupings, tree);
   out.chain_rule_j = JMeasureViaChainRule(&calc, tree);
   SandwichBounds sandwich = DfsSandwich(&calc, tree);
   out.max_dfs_cmi = sandwich.max_cmi;
@@ -54,15 +58,15 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
     stat.mvd = mvd;
     stat.cmi = calc.ConditionalMutualInformation(mvd.side_a, mvd.side_b,
                                                  mvd.lhs);
-    Result<LossReport> mvd_loss = ComputeMvdLoss(r, mvd);
+    Result<LossReport> mvd_loss = ComputeMvdLoss(&groupings, mvd);
     if (!mvd_loss.ok()) return mvd_loss.status();
     stat.rho = mvd_loss.value().rho;
     stat.log1p_rho = mvd_loss.value().log1p_rho;
     AttrSet a_branch = mvd.side_a.Minus(mvd.lhs);
     AttrSet b_branch = mvd.side_b.Minus(mvd.lhs);
-    stat.d_a = a_branch.Empty() ? 1 : CountDistinct(r, a_branch);
-    stat.d_b = b_branch.Empty() ? 1 : CountDistinct(r, b_branch);
-    stat.d_c = mvd.lhs.Empty() ? 1 : CountDistinct(r, mvd.lhs);
+    stat.d_a = a_branch.Empty() ? 1 : groupings.CountDistinct(a_branch);
+    stat.d_b = b_branch.Empty() ? 1 : groupings.CountDistinct(b_branch);
+    stat.d_c = mvd.lhs.Empty() ? 1 : groupings.CountDistinct(mvd.lhs);
     stat.epsilon_star =
         EpsilonStarMvd(stat.d_a, stat.d_b, stat.d_c, out.n, delta);
     stat.thm51_applies =

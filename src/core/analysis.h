@@ -70,15 +70,21 @@ struct AjdAnalysis {
 };
 
 /// Runs the full analysis. `delta` is the confidence parameter for the
-/// Section 5 bounds. The KL computation and support losses are linear-ish
-/// in |R| times the number of bags; nothing is materialized.
+/// Section 5 bounds. Equivalent to the session form over a fresh session.
 Result<AjdAnalysis> AnalyzeAjd(const Relation& r, const JoinTree& tree,
                                double delta = 0.05);
 
 /// Session-sharing variant: every entropy term (bags, separators, DFS
-/// sandwich, support CMIs) is answered by the session's engine for `r`, so
-/// analysis after mining — or repeated analyses of candidate trees over the
-/// same relation — reuses all cached work.
+/// sandwich, support CMIs) is answered by the session's engine for `r`, and
+/// every count — |R'|, the support join sizes, the domain sizes d_A, d_B,
+/// d_C, and D(P || P^T) — is read off the same engine's stripped
+/// partitions at one pin (engine/groupings.h). R' itself is never
+/// materialized; the partitions of the bags, separators, MVD sides and
+/// domain sets are, and the engine caches them within its budget, so
+/// analysis after mining — or repeated analyses of candidate trees over
+/// the same relation — reuses all cached work. Each count is linear in
+/// |R| per set; the hash functions of loss.h, acyclic_join.h, ops.h and
+/// factorized.h are the reference oracles they are tested against.
 Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
                                const JoinTree& tree, double delta = 0.05);
 

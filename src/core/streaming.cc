@@ -134,7 +134,9 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
     point.j = CurrentJ(tree_);
     point.rho_lower_bound = std::expm1(point.j);
     if (options_.compute_exact_loss) {
-      Result<LossReport> loss = ComputeLoss(*r_, tree_);
+      // The tree's bag and separator partitions were just prewarmed by
+      // CurrentJ, so the exact count is label passes over cached entries.
+      Result<LossReport> loss = ComputeLoss(session_.get(), *r_, tree_);
       if (!loss.ok()) return loss.status();
       point.rho = loss.value().rho;
     }

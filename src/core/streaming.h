@@ -96,9 +96,11 @@ struct StreamingOptions {
   /// the very next drifted batch (immediate re-tracking of a sustained
   /// shift); raise it to amortize the miner against drift spikes.
   uint32_t min_batches_between_remines = 1;
-  /// Also compute the exact loss rho (Yannakakis counting) per batch.
-  /// O(N) per batch with no incremental reuse — the J-trajectory is the
-  /// cheap default; flip this on when the exact join-size blowup matters.
+  /// Also compute the exact loss rho (Yannakakis counting) per batch, over
+  /// the session's bag and separator partitions — the ones the J terms
+  /// already keep extended — so a batch costs O(N) label passes and no
+  /// hashing. The J-trajectory is still the cheap default; flip this on
+  /// when the exact join-size blowup matters.
   bool compute_exact_loss = false;
   /// Poison-batch handling for IngestBatch/IngestStringBatch (and the CSV
   /// ingest built on them): one bad batch need not kill a stream.

@@ -118,6 +118,8 @@ EngineStats AnalysisSession::TotalStats() const {
     total.persist_extended += s.persist_extended;
     total.persist_spills += s.persist_spills;
     total.persist_fallbacks += s.persist_fallbacks;
+    total.partition_queries += s.partition_queries;
+    total.partition_hits += s.partition_hits;
   }
   return total;
 }

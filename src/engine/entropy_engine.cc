@@ -569,6 +569,38 @@ double EntropyEngine::Entropy(AttrSet attrs) {
   return EntropyAt(attrs, Pin());
 }
 
+std::shared_ptr<const Partition> EntropyEngine::PartitionOf(AttrSet attrs) {
+  CatchUp();
+  return PartitionAt(attrs, Pin());
+}
+
+std::shared_ptr<const Partition> EntropyEngine::PartitionAt(
+    AttrSet attrs, const EpochPin& pin) {
+  AJD_CHECK(attrs.IsSubsetOf(relation().schema().AllAttrs()));
+  if (attrs.Empty()) {
+    return std::make_shared<const Partition>(Partition::Trivial(pin.rows));
+  }
+  if (pin.rows == 0) return std::make_shared<const Partition>();
+  std::shared_ptr<const Partition> p;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.partition_queries;
+    auto it = partitions_.find(attrs);
+    if (it != partitions_.end() && it->second.rows == pin.rows) {
+      ++stats_.partition_hits;
+      it->second.last_used = ++tick_;
+      p = it->second.partition;
+    }
+  }
+  if (p != nullptr) {
+    // Recency signal for the global LRU; outside mu_ per the lock order.
+    if (arbiter_ != nullptr) arbiter_->Touch(this, attrs);
+    return p;
+  }
+  ComputeEntropy(attrs, pin, /*materialize_final=*/true, &p);
+  return p;
+}
+
 EpochPin EntropyEngine::Pin() const {
   return *std::atomic_load_explicit(&stamp_, std::memory_order_acquire);
 }
@@ -588,8 +620,9 @@ double EntropyEngine::EntropyAt(AttrSet attrs, const EpochPin& pin) {
   return ComputeEntropy(attrs, pin);
 }
 
-double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
-                                     bool materialize_final) {
+double EntropyEngine::ComputeEntropy(
+    AttrSet attrs, const EpochPin& pin, bool materialize_final,
+    std::shared_ptr<const Partition>* partition_out) {
   // The PINNED row count, not the live one: every column view, sketch, and
   // cached base consumed below is frozen at pin.rows, so the value is the
   // cold answer over exactly that prefix no matter how many appends land
@@ -604,7 +637,8 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
   // below; a bad disk entry can cost time, never change an answer.
   if (persist_ != nullptr) {
     double h_disk;
-    if (TryServeFromDisk(attrs, pin, materialize_final, &h_disk)) {
+    if (TryServeFromDisk(attrs, pin, materialize_final, &h_disk,
+                         partition_out)) {
       return h_disk;
     }
   }
@@ -845,8 +879,10 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
         }
         const uint32_t rest_card =
             store_.ColumnAt(rest_chain.back(), pin.rows).cardinality;
-        fresh.push_back({attrs, std::make_shared<Partition>(),
-                         std::move(rest_chain), rest_card, PartitionDelta{}});
+        cur = std::make_shared<Partition>();
+        cur_set = attrs;
+        fresh.push_back({attrs, cur, std::move(rest_chain), rest_card,
+                         PartitionDelta{}});
       }
       break;
     }
@@ -854,6 +890,10 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
   if (!have_h) {
     AJD_CHECK(cur != nullptr);
     h = cur->EntropyNats(n);
+  }
+  if (partition_out != nullptr) {
+    AJD_CHECK(materialize_final && cur_set == attrs);
+    *partition_out = cur;
   }
 
   std::vector<std::pair<AttrSet, size_t>> charged;
@@ -1182,8 +1222,9 @@ uint64_t EntropyEngine::FingerprintFor(uint64_t rows) {
   return fp_->At(rows);
 }
 
-bool EntropyEngine::TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
-                                     bool materialize_final, double* h_out) {
+bool EntropyEngine::TryServeFromDisk(
+    AttrSet attrs, const EpochPin& pin, bool materialize_final, double* h_out,
+    std::shared_ptr<const Partition>* partition_out) {
   {
     // The entropy VALUE can miss while the partition itself is resident at
     // the pinned row count (a catch-up sweeps entropies_ but revalidates
@@ -1285,6 +1326,7 @@ bool EntropyEngine::TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
     arbiter_->Charge(this, charged);
   }
   *h_out = h;
+  if (partition_out != nullptr) *partition_out = std::move(p);
   return true;
 }
 

@@ -220,6 +220,11 @@ struct EngineStats {
   uint64_t persist_fallbacks = 0; ///< disk entries that failed to load or
                                   ///< validate; served cold instead (the
                                   ///< degrade-never-corrupt path).
+  // PartitionOf/PartitionAt (kept apart from the entropy counters above,
+  // so partition consumers do not perturb the entropy hit rate).
+  uint64_t partition_queries = 0; ///< PartitionOf/PartitionAt calls on a
+                                  ///< non-empty set.
+  uint64_t partition_hits = 0;    ///< ... answered from the partition cache.
 
   double HitRate() const {
     return queries == 0 ? 0.0
@@ -257,6 +262,23 @@ class EntropyEngine {
   /// later epochs are published concurrently. Values computed at a
   /// superseded pin bypass (and never pollute) the caches of newer pins.
   double EntropyAt(AttrSet attrs, const EpochPin& pin);
+
+  /// The stripped partition of `attrs` over the relation's current rows:
+  /// CatchUp() + PartitionAt(attrs, Pin()). Exact counts over a grouping —
+  /// distinct values, class sizes, join sizes — read it directly instead
+  /// of re-hashing the relation (engine/groupings.h).
+  std::shared_ptr<const Partition> PartitionOf(AttrSet attrs);
+
+  /// The stripped partition of `attrs` over exactly the first pin.rows
+  /// rows. A cached partition at the pin's row tag is returned as is (a
+  /// hit); otherwise the materializing miss path of PrewarmSubsets builds
+  /// it and offers it to the cache, and the result is returned even when
+  /// the budget does not keep it. The empty set yields
+  /// Partition::Trivial(pin.rows). The caller may hold the result across
+  /// appends: catch-up extends a partition in place only while the cache
+  /// holds its sole reference, so a held one never changes.
+  std::shared_ptr<const Partition> PartitionAt(AttrSet attrs,
+                                               const EpochPin& pin);
 
   /// Evaluates n independent entropy terms, writing out[i] = H(sets[i]).
   /// Runs on the engine's thread pool when it pays; safe to call while
@@ -393,9 +415,12 @@ class EntropyEngine {
   /// at pin.rows and cached entries whose row tag equals pin.rows. When
   /// `materialize_final` is set, the last refinement step builds and caches
   /// the full partition of `attrs` instead of taking the fused
-  /// entropy-only pass (the PrewarmSubsets path).
+  /// entropy-only pass (the PrewarmSubsets path), and `partition_out`
+  /// (when non-null) receives that partition whether or not it was cached.
   double ComputeEntropy(AttrSet attrs, const EpochPin& pin,
-                        bool materialize_final = false);
+                        bool materialize_final = false,
+                        std::shared_ptr<const Partition>* partition_out =
+                            nullptr);
 
   /// Inserts a partition with its build recipe and row tag; returns its
   /// heap bytes if actually inserted (0 for duplicates — an existing entry
@@ -456,9 +481,11 @@ class EntropyEngine {
   /// Miss-path probe of the disk tier: serves H(attrs) at `pin` from a
   /// persisted entry when one matches exactly, reloading (and caching) its
   /// partition. False on miss or any load/validation failure — the caller
-  /// computes cold (counted in persist_fallbacks). Called without mu_.
+  /// computes cold (counted in persist_fallbacks). `partition_out`, when
+  /// non-null, receives the reloaded partition. Called without mu_.
   bool TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
-                        bool materialize_final, double* h_out);
+                        bool materialize_final, double* h_out,
+                        std::shared_ptr<const Partition>* partition_out);
 
   /// Offers one evicted current-generation entry to the disk tier (best
   /// effort; failures degrade to a plain eviction). Requires mu_ held.

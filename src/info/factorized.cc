@@ -1,7 +1,10 @@
 #include "info/factorized.h"
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "engine/groupings.h"
 #include "relation/row_hash.h"
 #include "util/check.h"
 
@@ -98,6 +101,43 @@ SparseDistribution FactorizedDistribution::MarginalOver(
     out.Add(positions.empty() ? nullptr : key.data(), d);
   }
   return out;
+}
+
+double KlFromEmpirical(AnalysisSession* session, const Relation& r,
+                       const JoinTree& tree) {
+  PinnedGroupings groupings(session, r);
+  return KlFromEmpirical(&groupings, tree);
+}
+
+double KlFromEmpirical(PinnedGroupings* groupings, const JoinTree& tree) {
+  const Relation& r = groupings->relation();
+  AJD_CHECK(tree.AllAttrs().IsSubsetOf(r.schema().AllAttrs()));
+  const uint64_t n = groupings->rows();
+  if (n == 0) return 0.0;
+  // acc[i] accumulates +-ln(class size) per set; singleton classes add
+  // ln 1 = 0, so only stripped blocks are visited.
+  std::vector<double> acc(n, 0.0);
+  auto add = [&](AttrSet attrs, double sign) {
+    const std::shared_ptr<const Partition> p = groupings->PartitionOf(attrs);
+    for (uint32_t b = 0; b < p->NumBlocks(); ++b) {
+      const double term =
+          sign * std::log(static_cast<double>(p->BlockSize(b)));
+      for (const uint32_t* row = p->BlockBegin(b); row != p->BlockEnd(b);
+           ++row) {
+        acc[*row] += term;
+      }
+    }
+  };
+  for (AttrSet bag : tree.bags()) add(bag, 1.0);
+  for (const DfsStep& s : tree.Decompose(0).steps) add(s.delta, -1.0);
+  // Subtracting ln c_full(i) last leaves acc[i] = -(ln c_full(i) - acc[i])
+  // exactly (IEEE subtraction is antisymmetric).
+  add(r.schema().AllAttrs(), -1.0);
+  double sum = 0.0;
+  for (double a : acc) sum -= a;
+  const double kl = sum / static_cast<double>(n);
+  // KL >= 0; clamp floating-point cancellation noise.
+  return kl < 0.0 && kl > -1e-9 ? 0.0 : kl;
 }
 
 }  // namespace ajd

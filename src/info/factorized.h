@@ -5,6 +5,11 @@
 // where P is the empirical distribution of a relation and (T, chi) a join
 // tree. P^T is the KL-projection of P onto the distributions that model T
 // (Lemma 3.4), and Theorem 3.2 states J(T) = D_KL(P || P^T).
+//
+// The class holds hashed marginals and evaluates P^T pointwise; it is the
+// reference oracle. The free KlFromEmpirical below computes the same
+// divergence from the session's stripped partitions, never building a
+// marginal table.
 #ifndef AJD_INFO_FACTORIZED_H_
 #define AJD_INFO_FACTORIZED_H_
 
@@ -16,6 +21,9 @@
 #include "relation/relation.h"
 
 namespace ajd {
+
+class AnalysisSession;  // engine/analysis_session.h
+class PinnedGroupings;  // engine/groupings.h
 
 /// The factorized distribution P^T induced by a relation and a join tree.
 class FactorizedDistribution {
@@ -32,7 +40,8 @@ class FactorizedDistribution {
 
   /// D_KL(P || P^T) in nats, where P is the empirical distribution of the
   /// source relation. Finite by construction (P << P^T on R's support).
-  /// By Theorem 3.2 this equals J(T).
+  /// By Theorem 3.2 this equals J(T). Reference oracle: hashes every
+  /// marginal and the full rows of R.
   double KlFromEmpirical() const;
 
   /// sum of Density over the (distinct) rows of `support`. When `support`
@@ -66,6 +75,22 @@ class FactorizedDistribution {
   std::vector<Factor> bag_factors_;
   std::vector<Factor> sep_factors_;
 };
+
+/// D_KL(P || P^T) from the session's partitions, with the separators of
+/// the DFS decomposition rooted at 0. With c_S(i) the size of row i's
+/// class under attribute set S, ln(P(x_i) / P^T(x_i)) =
+/// ln c_full(i) - (sum_bags ln c_bag(i) - sum_seps ln c_sep(i)), where
+/// "full" is every attribute of `r`. The bag and separator terms
+/// accumulate per row in a fixed set order, and the divergence is the
+/// row-order sum of those log ratios over n: the same divergence, at every
+/// support point, as FactorizedDistribution::KlFromEmpirical (up to fp
+/// rounding), and bit-identical whatever the cache history or thread
+/// count. 0 for an empty relation.
+double KlFromEmpirical(AnalysisSession* session, const Relation& r,
+                       const JoinTree& tree);
+
+/// The session form over an existing pin.
+double KlFromEmpirical(PinnedGroupings* groupings, const JoinTree& tree);
 
 }  // namespace ajd
 

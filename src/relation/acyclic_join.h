@@ -4,7 +4,10 @@
 // Two evaluation modes:
 //  * CountAcyclicJoin: |R'| WITHOUT materializing, via Yannakakis-style
 //    count propagation over the join tree (messages from leaves to root).
-//    Linear in the sizes of the projections; never enumerates R'.
+//    Linear in the sizes of the projections; never enumerates R'. It
+//    hashes every bag projection of R, and is the reference oracle for the
+//    session form ComputeLoss(AnalysisSession*, ...) (core/loss.h), which
+//    runs the same messages over the engine's stripped partitions.
 //  * MaterializeAcyclicJoin: R' itself, by folding hash joins in DFS order.
 //    Exponential output in the worst case; intended for tests, spurious-
 //    tuple extraction, and small instances.

@@ -19,7 +19,9 @@ namespace ajd {
 /// of r's attributes.
 Relation Project(const Relation& r, AttrSet attrs);
 
-/// Number of distinct tuples in Pi_attrs(r) without materializing.
+/// Number of distinct tuples in Pi_attrs(r) without materializing, by
+/// hashing every row. Reference oracle for the session form in
+/// engine/groupings.h, which reads the count off a stripped partition.
 uint64_t CountDistinct(const Relation& r, AttrSet attrs);
 
 /// Selection: rows where attribute `pos` equals `value`.

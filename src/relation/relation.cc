@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "relation/row_hash.h"
 #include "util/failpoint.h"
 
 namespace ajd {
+
+namespace relation_internal {
+
+namespace {
+std::atomic<uint64_t> g_row_ceiling{kMaxRelationRows};
+}  // namespace
+
+void SetRowCeiling(uint64_t rows) {
+  g_row_ceiling.store(std::min(rows, kMaxRelationRows),
+                      std::memory_order_relaxed);
+}
+
+}  // namespace relation_internal
 
 namespace {
 
@@ -15,6 +29,20 @@ namespace {
 uint64_t NextRelationUid() {
   static std::atomic<uint64_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+// RelationBuilder's string rows: interns each value into its attribute's
+// dictionary (created on first use) and appends the codes.
+template <typename Field>
+void AddInternedRow(const std::vector<Field>& row, uint32_t width,
+                    std::vector<std::optional<Dictionary>>* dicts,
+                    std::vector<uint32_t>* data) {
+  AJD_CHECK_MSG(row.size() == width, "row width %zu != schema width %u",
+                row.size(), width);
+  for (uint32_t a = 0; a < width; ++a) {
+    if (!(*dicts)[a].has_value()) (*dicts)[a].emplace();
+    data->push_back((*dicts)[a]->Intern(row[a]));
+  }
 }
 
 }  // namespace
@@ -94,27 +122,38 @@ RowsSnapshot Relation::Snapshot() const {
   return snap;
 }
 
-uint32_t Dictionary::Intern(const std::string& value) {
-  auto it = index_.find(value);
-  if (it != index_.end()) return it->second;
-  uint32_t code = static_cast<uint32_t>(values_.size());
-  values_.push_back(value);
-  index_.emplace(value, code);
+uint32_t Dictionary::Intern(std::string_view value) {
+  const uint64_t hash = HashBytes(value.data(), value.size());
+  const uint32_t found =
+      index_.Find(hash, [&](uint32_t code) { return values_[code] == value; });
+  if (found != CodeIndex::kNone) return found;
+  // Each step below may throw only before it changes anything, so a failed
+  // intern leaves the dictionary as it was.
+  const uint32_t code = static_cast<uint32_t>(values_.size());
+  index_.Reserve(values_.size() + 1);
+  values_.emplace_back(value);
+  index_.Insert(hash, code);  // room reserved: cannot throw
   return code;
 }
 
 void Dictionary::TruncateTo(uint32_t size) {
   if (size >= values_.size()) return;
-  for (uint32_t code = size; code < values_.size(); ++code) {
-    index_.erase(values_[code]);
-  }
   values_.resize(size);
+  // The table keeps its capacity, so re-inserting the survivors cannot
+  // throw.
+  index_.Clear();
+  for (uint32_t code = 0; code < size; ++code) {
+    index_.Insert(HashBytes(values_[code].data(), values_[code].size()),
+                  code);
+  }
 }
 
-std::optional<uint32_t> Dictionary::Lookup(const std::string& value) const {
-  auto it = index_.find(value);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+std::optional<uint32_t> Dictionary::Lookup(std::string_view value) const {
+  const uint32_t code =
+      index_.Find(HashBytes(value.data(), value.size()),
+                  [&](uint32_t c) { return values_[c] == value; });
+  if (code == CodeIndex::kNone) return std::nullopt;
+  return code;
 }
 
 const std::string& Dictionary::ValueOf(uint32_t code) const {
@@ -144,15 +183,17 @@ Status Relation::AppendCodesUnchecked(const std::vector<uint32_t>& flat,
   const uint32_t width = NumAttrs();
   if (rows == 0 || width == 0) return Status::OK();
   const uint64_t committed = num_rows_.load(std::memory_order_relaxed);
+  const uint64_t ceiling =
+      relation_internal::g_row_ceiling.load(std::memory_order_relaxed);
+  if (rows > ceiling || committed > ceiling - rows) {
+    return Status::CapacityExceeded(
+        "append of " + std::to_string(rows) + " rows to " +
+        std::to_string(committed) + " would exceed the row ceiling of " +
+        std::to_string(ceiling));
+  }
   uint64_t appended = 0;
   try {
     AJD_INJECT_BAD_ALLOC(failpoints::kRelationAppendReserve);
-    if (dedupe && row_index_ == nullptr) {
-      // First deduped append: index every existing row once (O(N)); later
-      // appends pay only their own rows.
-      row_index_ = std::make_unique<TupleCounter>(width, committed + rows);
-      for (uint64_t i = 0; i < committed; ++i) row_index_->Add(Row(i));
-    }
     // RCU storage discipline: concurrent readers hold RowsSnapshot pins
     // into the current buffer, so committed bytes are immutable. Reserve
     // the worst-case capacity UP FRONT — if the current buffer can't hold
@@ -169,23 +210,51 @@ Status Relation::AppendCodesUnchecked(const std::vector<uint32_t>& flat,
       std::atomic_store_explicit(&data_, std::move(grown),
                                  std::memory_order_release);
     }
-    std::vector<uint64_t> max_code(width, 0);
-    for (uint64_t i = 0; i < rows; ++i) {
-      AJD_INJECT_BAD_ALLOC(failpoints::kRelationAppendStage);
-      const uint32_t* row = flat.data() + i * width;
-      if (dedupe) {
-        const size_t before = row_index_->NumDistinct();
-        row_index_->Add(row);
-        if (row_index_->NumDistinct() == before) continue;  // already present
-      } else if (row_index_ != nullptr) {
-        // Keep a previously built index exact across multiset appends too.
-        row_index_->Add(row);
-      }
-      buf->insert(buf->end(), row, row + width);
-      ++appended;
+    // The index stores row numbers into `buf`, whose base no longer moves
+    // during this batch.
+    const uint32_t* base = buf->data();
+    if (dedupe && row_index_ == nullptr) {
+      // First deduped append: index every existing row once (O(N)); later
+      // appends pay only their own rows.
+      row_index_ = std::make_unique<RowIdSet>(width);
+      row_index_->Reserve(committed + rows);
+      row_index_->ForEachHashed(base, committed, [&](uint64_t i, uint64_t h) {
+        row_index_->Insert(base + i * width, h, static_cast<uint32_t>(i),
+                           base);
+      });
+    } else if (row_index_ != nullptr) {
+      row_index_->Reserve(row_index_->size() + rows);
+    }
+    std::vector<uint32_t> max_code(width, 0);
+    auto cover = [&](const uint32_t* row) {
       for (uint32_t a = 0; a < width; ++a) {
-        max_code[a] = std::max<uint64_t>(max_code[a], row[a]);
+        max_code[a] = std::max(max_code[a], row[a]);
       }
+    };
+    if (row_index_ != nullptr) {
+      row_index_->ForEachHashed(flat.data(), rows, [&](uint64_t i,
+                                                       uint64_t hash) {
+        AJD_INJECT_BAD_ALLOC(failpoints::kRelationAppendStage);
+        const uint32_t* row = flat.data() + i * width;
+        // A row already present is dropped under dedupe; a multiset append
+        // lands it anyway and leaves the index at the first copy.
+        if (!row_index_->Insert(row, hash,
+                                static_cast<uint32_t>(committed + appended),
+                                base) &&
+            dedupe) {
+          return;
+        }
+        buf->insert(buf->end(), row, row + width);
+        ++appended;
+        cover(row);
+      });
+    } else {
+      for (uint64_t i = 0; i < rows; ++i) {
+        AJD_INJECT_BAD_ALLOC(failpoints::kRelationAppendStage);
+        cover(flat.data() + i * width);
+      }
+      buf->insert(buf->end(), flat.begin(), flat.begin() + rows * width);
+      appended = rows;
     }
     if (appended == 0) return Status::OK();
     // Domain sizes grow before the rows publish so a reader that sees the
@@ -193,7 +262,7 @@ Status Relation::AppendCodesUnchecked(const std::vector<uint32_t>& flat,
     // appender-side state; concurrent readers only use the attribute
     // count, which never changes.)
     for (uint32_t a = 0; a < width; ++a) {
-      schema_.EnsureDomainSize(a, max_code[a] + 1);
+      schema_.EnsureDomainSize(a, uint64_t{max_code[a]} + 1);
     }
   } catch (const std::exception& e) {
     // All-or-nothing rollback. Nothing was published (num_rows_/epoch_
@@ -253,6 +322,30 @@ Status Relation::AppendStringBatch(
           " does not match schema width " + std::to_string(width));
     }
   }
+  std::vector<std::string_view> fields;
+  try {
+    fields.reserve(rows.size() * width);
+  } catch (const std::exception& e) {
+    return Status::CapacityExceeded(
+        std::string("append failed staging the batch: ") + e.what());
+  }
+  for (const auto& row : rows) {
+    fields.insert(fields.end(), row.begin(), row.end());
+  }
+  return AppendFieldBatch(fields, dedupe);
+}
+
+Status Relation::AppendFieldBatch(const std::vector<std::string_view>& fields,
+                                  bool dedupe) {
+  const uint32_t width = NumAttrs();
+  if (width == 0) return Status::OK();
+  if (fields.size() % width != 0) {
+    return Status::InvalidArgument(
+        "append of " + std::to_string(fields.size()) +
+        " fields is not a whole number of rows of width " +
+        std::to_string(width));
+  }
+  const uint64_t rows = fields.size() / width;
   // A non-empty relation built from raw codes has no dictionary to intern
   // into: inventing one here would assign fresh codes starting at 0, which
   // ALIAS the existing raw code space — silent corruption, not an append.
@@ -266,6 +359,7 @@ Status Relation::AppendStringBatch(
       }
     }
   }
+  if (rows == 0) return Status::OK();
   // Interning may create dictionary entries for rows that dedupe then
   // drops; that only grows a dictionary, never the relation's data, so the
   // append-only contract holds either way. On FAILURE, though, the batch's
@@ -288,16 +382,22 @@ Status Relation::AppendStringBatch(
   };
   Status append;
   try {
-    std::vector<uint32_t> flat;
-    flat.reserve(rows.size() * width);
-    for (const auto& row : rows) {
-      for (uint32_t a = 0; a < width; ++a) {
+    std::vector<Dictionary*> dicts(width);
+    for (uint32_t a = 0; a < width; ++a) {
+      if (!dicts_[a].has_value()) dicts_[a].emplace();
+      dicts[a] = &*dicts_[a];
+    }
+    // Column by column: codes depend only on each attribute's own intern
+    // order, and one dictionary at a time stays in cache.
+    std::vector<uint32_t> flat(fields.size());
+    for (uint32_t a = 0; a < width; ++a) {
+      Dictionary* dict = dicts[a];
+      for (size_t i = a; i < fields.size(); i += width) {
         AJD_INJECT_BAD_ALLOC(failpoints::kRelationIntern);
-        if (!dicts_[a].has_value()) dicts_[a].emplace();
-        flat.push_back(dicts_[a]->Intern(row[a]));
+        flat[i] = dict->Intern(fields[i]);
       }
     }
-    append = AppendCodesUnchecked(flat, rows.size(), dedupe);
+    append = AppendCodesUnchecked(flat, rows, dedupe);
   } catch (const std::exception& e) {
     roll_back_dicts();
     return Status::CapacityExceeded(
@@ -315,9 +415,14 @@ bool Relation::HasDuplicateRows() const {
 uint64_t Relation::NumDistinctRows() const {
   const uint64_t n = NumRows();
   if (n == 0) return 0;
-  TupleCounter counter(NumAttrs(), n);
-  for (uint64_t i = 0; i < n; ++i) counter.Add(Row(i));
-  return counter.NumDistinct();
+  AJD_CHECK(n <= kMaxRelationRows);
+  const uint32_t* rows = data_->data();
+  RowIdSet distinct(NumAttrs());
+  distinct.Reserve(n);
+  distinct.ForEachHashed(rows, n, [&](uint64_t i, uint64_t h) {
+    distinct.Insert(rows + i * NumAttrs(), h, static_cast<uint32_t>(i), rows);
+  });
+  return distinct.size();
 }
 
 bool Relation::ContainsRow(const uint32_t* row) const {
@@ -380,13 +485,12 @@ void RelationBuilder::AddRowPtr(const uint32_t* row) {
 }
 
 void RelationBuilder::AddStringRow(const std::vector<std::string>& row) {
-  AJD_CHECK_MSG(row.size() == schema_.size(),
-                "row width %zu != schema width %u", row.size(),
-                schema_.size());
-  for (uint32_t a = 0; a < schema_.size(); ++a) {
-    if (!dicts_[a].has_value()) dicts_[a].emplace();
-    data_.push_back(dicts_[a]->Intern(row[a]));
-  }
+  AddInternedRow(row, schema_.size(), &dicts_, &data_);
+  ++num_rows_;
+}
+
+void RelationBuilder::AddFieldRow(const std::vector<std::string_view>& row) {
+  AddInternedRow(row, schema_.size(), &dicts_, &data_);
   ++num_rows_;
 }
 
@@ -399,24 +503,27 @@ Relation RelationBuilder::Build(bool dedupe) && {
   r.schema_ = std::move(schema_);
   r.dicts_ = std::move(dicts_);
   const uint32_t width = r.schema_.size();
+  uint64_t kept = num_rows_;
   if (dedupe && num_rows_ > 0 && width > 0) {
-    TupleCounter counter(width, num_rows_);
-    std::vector<uint32_t> unique;
-    unique.reserve(data_.size());
-    for (uint64_t i = 0; i < num_rows_; ++i) {
-      const uint32_t* row = data_.data() + i * width;
-      size_t before = counter.NumDistinct();
-      counter.Add(row);
-      if (counter.NumDistinct() > before) {
-        unique.insert(unique.end(), row, row + width);
+    // Compacts in place: row i moves down to slot `kept` <= i, after the
+    // set compared it against the kept rows [0, kept) only.
+    AJD_CHECK(num_rows_ <= kMaxRelationRows);
+    uint32_t* rows = data_.data();
+    RowIdSet seen(width);
+    seen.Reserve(num_rows_);
+    kept = 0;
+    seen.ForEachHashed(rows, num_rows_, [&](uint64_t i, uint64_t h) {
+      const uint32_t* row = rows + i * width;
+      if (!seen.Insert(row, h, static_cast<uint32_t>(kept), rows)) return;
+      if (kept != i) {
+        std::memmove(rows + kept * width, row, width * sizeof(uint32_t));
       }
-    }
-    r.data_ = std::make_shared<std::vector<uint32_t>>(std::move(unique));
-    r.num_rows_.store(r.data_->size() / width, std::memory_order_relaxed);
-  } else {
-    r.data_ = std::make_shared<std::vector<uint32_t>>(std::move(data_));
-    r.num_rows_.store(num_rows_, std::memory_order_relaxed);
+      ++kept;
+    });
+    data_.resize(kept * width);
   }
+  r.data_ = std::make_shared<std::vector<uint32_t>>(std::move(data_));
+  r.num_rows_.store(kept, std::memory_order_relaxed);
   // Grow domain sizes to cover observed codes.
   const uint64_t built_rows = r.NumRows();
   for (uint32_t a = 0; a < width; ++a) {

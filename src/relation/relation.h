@@ -35,12 +35,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "relation/attr_set.h"
-#include "relation/row_hash.h"
+#include "relation/code_index.h"
 #include "relation/schema.h"
 #include "util/status.h"
 
@@ -60,20 +60,38 @@ struct RowsSnapshot {
   uint32_t At(uint64_t i, uint32_t pos) const { return Row(i)[pos]; }
 };
 
+/// Largest number of rows a relation holds: rows are indexed as uint32
+/// (the dedupe set here, partitions in the engine), with UINT32_MAX kept
+/// free as the "no row" marker.
+inline constexpr uint64_t kMaxRelationRows = UINT32_MAX;
+
+namespace relation_internal {
+/// Test hook: lowers the row ceiling appends enforce to
+/// min(rows, kMaxRelationRows), so tests can reach it with a few rows.
+/// SetRowCeiling(kMaxRelationRows) restores the default.
+void SetRowCeiling(uint64_t rows);
+}  // namespace relation_internal
+
 /// Per-attribute dictionary mapping string values to dense codes.
+///
+/// Codes are assigned densely in intern order. The values live once, in
+/// code order; the lookup index is a CodeIndex of codes probed by a hash
+/// of the value and compared against that vector, so no value is stored
+/// twice.
 class Dictionary {
  public:
   /// Returns the code for `value`, inserting it if new.
-  uint32_t Intern(const std::string& value);
+  uint32_t Intern(std::string_view value);
 
   /// Drops every value with code >= `size` (appender-side rollback after a
   /// failed batch: codes are assigned densely in intern order, so the
   /// entries staged by the failed batch are exactly the tail). No-op when
-  /// `size` >= size().
+  /// `size` >= size(). Rebuilds the lookup index, so it costs O(size());
+  /// only failure paths call it.
   void TruncateTo(uint32_t size);
 
   /// Returns the code for `value` if already interned.
-  std::optional<uint32_t> Lookup(const std::string& value) const;
+  std::optional<uint32_t> Lookup(std::string_view value) const;
 
   /// The string for `code`; aborts if out of range.
   const std::string& ValueOf(uint32_t code) const;
@@ -83,7 +101,9 @@ class Dictionary {
 
  private:
   std::vector<std::string> values_;
-  std::unordered_map<std::string, uint32_t> index_;
+  // Codes, keyed by HashBytes of their value. Interning probes it once per
+  // field, so it runs at load <= 1/4: most probes end at the first slot.
+  CodeIndex index_{4};
 };
 
 /// A relation instance: Schema + N rows of uint32 codes.
@@ -163,7 +183,9 @@ class Relation {
   /// With `dedupe`, rows equal to an existing row (or an earlier row of the
   /// same batch) are dropped — set semantics; the membership index is built
   /// on first deduped append (O(N)) and maintained incrementally after.
-  /// InvalidArgument if any row's width mismatches the schema.
+  /// InvalidArgument if any row's width mismatches the schema;
+  /// CapacityExceeded if the committed rows plus the whole batch would
+  /// exceed kMaxRelationRows (checked before anything is touched).
   ///
   /// ALL-OR-NOTHING (strong guarantee): on ANY failure — width mismatch,
   /// allocation failure mid-batch, injected fault — the relation is
@@ -189,6 +211,14 @@ class Relation {
   /// that only grows a dictionary, never the relation's data.)
   Status AppendStringBatch(const std::vector<std::vector<std::string>>& rows,
                            bool dedupe = false);
+
+  /// Flat form of AppendStringBatch: `fields` holds the batch row-major,
+  /// NumAttrs() values per row (InvalidArgument when its size is not a
+  /// multiple of that). Values are interned straight from the views, so
+  /// the caller's text needs no per-field string. Same dictionary rules
+  /// and ALL-OR-NOTHING contract as AppendStringBatch.
+  Status AppendFieldBatch(const std::vector<std::string_view>& fields,
+                          bool dedupe = false);
 
   /// True iff some row appears more than once (multiset data).
   bool HasDuplicateRows() const;
@@ -222,7 +252,9 @@ class Relation {
   /// Appends pre-validated code rows (flat, width-checked by the callers),
   /// handling dedupe, domain growth, and the epoch bump. Strong guarantee:
   /// a mid-batch failure truncates staged bytes back to the committed
-  /// prefix (never published) and returns CapacityExceeded.
+  /// prefix (never published) and returns CapacityExceeded; so does a batch
+  /// that would take the relation past the row ceiling (kMaxRelationRows),
+  /// before anything is touched.
   Status AppendCodesUnchecked(const std::vector<uint32_t>& flat,
                               uint64_t rows, bool dedupe);
 
@@ -237,9 +269,10 @@ class Relation {
   std::vector<std::optional<Dictionary>> dicts_;
   std::atomic<uint64_t> epoch_{0};
   uint64_t uid_ = 0;
-  /// Exact row-membership index for deduped appends; built lazily on the
-  /// first AppendBatch(dedupe=true) and maintained incrementally after.
-  std::unique_ptr<TupleCounter> row_index_;
+  /// Exact row-membership index for deduped appends: the row number of the
+  /// first occurrence of every distinct row, probing data_ itself. Built
+  /// lazily on the first deduped append and maintained incrementally after.
+  std::unique_ptr<RowIdSet> row_index_;
 };
 
 /// Incremental construction of a Relation.
@@ -261,14 +294,18 @@ class RelationBuilder {
   /// Appends a row of strings, interning each into its dictionary.
   void AddStringRow(const std::vector<std::string>& row);
 
+  /// AddStringRow over views (no string is built for a known value).
+  void AddFieldRow(const std::vector<std::string_view>& row);
+
   /// Number of rows added so far.
   uint64_t NumRows() const { return num_rows_; }
 
   /// Reserves space for `rows` rows.
   void Reserve(uint64_t rows);
 
-  /// Finalizes. Deduplicates when `dedupe`. Grows schema domain sizes to
-  /// cover observed codes.
+  /// Finalizes. Deduplicates when `dedupe` (in place, keeping the first
+  /// occurrence of each row, in order). Grows schema domain sizes to cover
+  /// observed codes.
   Relation Build(bool dedupe = true) &&;
 
  private:

@@ -40,6 +40,31 @@ inline uint64_t HashTuple(const uint32_t* tuple, size_t arity) {
   return h;
 }
 
+/// Hashes `n` bytes (the dictionaries' string hash). A short string — the
+/// common CSV value — is read with a few fixed-size loads and one mix,
+/// without a branch on its exact length.
+inline uint64_t HashBytes(const char* p, size_t n) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ (n * 0xff51afd7ed558ccdULL);
+  uint64_t w = 0;
+  if (n > 8) {
+    for (; n > 8; p += 8, n -= 8) {
+      std::memcpy(&w, p, 8);
+      h = Mix64(h ^ w);
+    }
+    std::memcpy(&w, p + n - 8, 8);  // the last 8 bytes, overlapping
+  } else if (n >= 4) {
+    uint32_t lo, hi;  // two 4-byte loads, overlapping when n < 8
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + n - 4, 4);
+    w = lo | (static_cast<uint64_t>(hi) << 32);
+  } else if (n > 0) {
+    w = static_cast<uint64_t>(static_cast<unsigned char>(p[0])) |
+        static_cast<uint64_t>(static_cast<unsigned char>(p[n / 2])) << 8 |
+        static_cast<uint64_t>(static_cast<unsigned char>(p[n - 1])) << 16;
+  }
+  return Mix64(h ^ w);
+}
+
 /// Counts occurrences of fixed-arity uint32 tuples and assigns each distinct
 /// tuple a dense index in insertion order.
 class TupleCounter {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/csv.h"
 #include "io/table_printer.h"
@@ -149,6 +151,34 @@ TEST(Csv, ResumeIngestMatchesUninterruptedBitIdentical) {
     ASSERT_NE(r.dict(a), nullptr);
     EXPECT_EQ(r.dict(a)->size(), clean.dict(a)->size());
   }
+}
+
+TEST(Csv, ResumeAtEndOfFileAppendsNothing) {
+  // A clean ingest reports the end of the file as its resume offset;
+  // resuming there must succeed with nothing left to append.
+  const std::string text = "a,b\nx,y\nu,v\n";
+  Schema s = Schema::Make({{"a", 0}, {"b", 0}}).value();
+  Relation r = std::move(RelationBuilder(s)).Build(false);
+  CsvOptions opts;
+  CsvIngestSummary first;
+  {
+    std::istringstream in(text);
+    ASSERT_TRUE(AppendCsvBatches(in, &r, opts, 2, &first).ok());
+  }
+  ASSERT_EQ(first.resume_offset, 12);
+  const std::vector<uint32_t> data = r.data();
+  const uint64_t epoch = r.epoch();
+
+  std::istringstream in(text);
+  CsvIngestSummary resumed;
+  Status st = ResumeCsvIngest(in, &r, opts, 2, first.resume_offset, &resumed);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(resumed.rows_read, 0u);
+  EXPECT_EQ(resumed.rows_appended, 0u);
+  EXPECT_EQ(resumed.batches_committed, 0u);
+  EXPECT_EQ(resumed.resume_offset, 12);  // resumable again, at the same spot
+  EXPECT_EQ(r.data(), data);
+  EXPECT_EQ(r.epoch(), epoch);
 }
 
 TEST(Csv, ResumeIngestRejectsNegativeOffset) {

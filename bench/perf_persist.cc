@@ -29,8 +29,16 @@
 // sweeps). The equivalence guard is absolute 1e-9 per term on BOTH
 // sweeps: a persisted cache may make the engine slower, never wronger.
 //
-// Emits one machine-readable JSON line so future PRs can track the
-// trajectory.
+// The A/B runs twice. The "unbounded" pair gives both arms the default
+// cache budget, which holds the whole persisted working set. The
+// "budgeted" pair gives both arms a budget of 1/8 of the seeded partition
+// bytes: the persisted working set no longer fits, so the warm start
+// reloads only what the cache can keep (EngineOptions::persist_store);
+// partitions past that come back through the miss probe as the first
+// sweep asks for them.
+//
+// Emits one machine-readable JSON line per pair (field "arm") so future
+// changes can track the trajectory.
 #include <unistd.h>
 
 #include <algorithm>
@@ -165,6 +173,7 @@ int main(int argc, char** argv) {
   const Schema schema = Schema::MakeUniform(names, 0).value();
 
   // --- Seed process: serve the workload at N0, persist, "shut down". ---
+  size_t seeded_bytes = 0;
   {
     auto store = PersistentCacheStore::Open(dir.string(), popt).value();
     Relation seed =
@@ -173,6 +182,7 @@ int main(int argc, char** argv) {
     opt.persist_store = store;
     EntropyEngine engine(&seed, opt);
     (void)engine.BatchEntropy(terms);
+    seeded_bytes = engine.PartitionBytes();
     Status persisted = engine.PersistCache();
     if (!persisted.ok()) {
       std::fprintf(stderr, "PersistCache failed: %s\n",
@@ -184,22 +194,26 @@ int main(int argc, char** argv) {
   const std::vector<std::vector<uint32_t>> delta_rows(
       all_rows.begin() + static_cast<ptrdiff_t>(n0), all_rows.end());
 
-  // One (a)-(d) restart timeline; with a store the engine warm-starts.
+  // One (a)-(d) restart timeline under `budget`; with a store the engine
+  // warm-starts.
   struct ArmResult {
     std::vector<double> sweep1, sweep2;
     double total_ns = 0, restart_ns = 0, sweep1_ns = 0;
     EngineStats stats;
   };
-  auto run_arm = [&](std::shared_ptr<PersistentCacheStore> store) {
+  auto run_arm = [&](std::shared_ptr<PersistentCacheStore> store,
+                     size_t budget) {
     ArmResult res;
     const double start = NowNs();
     Relation r = Relation::FromRows(schema, base_rows, false).value();
     EngineOptions opt;
+    opt.cache_budget_bytes = budget;
     opt.persist_store = std::move(store);
     // Durability comes from an explicit PersistCache at shutdown (what the
     // seed arm does); publishing every catch-up generation down to disk
     // inside the timed serve path would price the write policy, not the
-    // restart.
+    // restart. The warm arm therefore writes nothing, and every pair
+    // restarts from the same seeded store.
     opt.persist_on_catchup = false;
     EntropyEngine engine(&r, opt);
     res.restart_ns = NowNs() - start;
@@ -213,55 +227,66 @@ int main(int argc, char** argv) {
     return res;
   };
 
-  const ArmResult cold = run_arm(nullptr);
-  // Reopening the store runs the normal restart recovery path.
-  const ArmResult warm =
-      run_arm(PersistentCacheStore::Open(dir.string(), popt).value());
+  // One cold/warm pair under `budget`: checked, then printed as one JSON
+  // line. False when a check fails.
+  auto run_pair = [&](const char* arm, size_t budget) {
+    const ArmResult cold = run_arm(nullptr, budget);
+    // Reopening the store runs the normal restart recovery path.
+    const ArmResult warm = run_arm(
+        PersistentCacheStore::Open(dir.string(), popt).value(), budget);
 
+    // Equivalence guard: a persisted cache may cost time, never
+    // correctness.
+    for (size_t i = 0; i < terms.size(); ++i) {
+      if (std::abs(cold.sweep1[i] - warm.sweep1[i]) > 1e-9 ||
+          std::abs(cold.sweep2[i] - warm.sweep2[i]) > 1e-9) {
+        std::fprintf(
+            stderr,
+            "MISMATCH (%s) term %zu: sweep1 cold=%.15f warm=%.15f / sweep2 "
+            "cold=%.15f warm=%.15f\n",
+            arm, i, cold.sweep1[i], warm.sweep1[i], cold.sweep2[i],
+            warm.sweep2[i]);
+        return false;
+      }
+    }
+    if (warm.stats.persist_reloads == 0) {
+      std::fprintf(stderr,
+                   "warm restart (%s) reloaded nothing from disk — the tier "
+                   "is not wired\n",
+                   arm);
+      return false;
+    }
+
+    std::printf(
+        "{\"bench\":\"perf_persist\",\"arm\":\"%s\",\"smoke\":%s,"
+        "\"rows_base\":%llu,\"rows_delta\":%llu,\"attrs\":%u,"
+        "\"terms\":%zu,\"budget_bytes\":%zu,\"seeded_bytes\":%zu,"
+        "\"cold_total_ms\":%.1f,\"warm_total_ms\":%.1f,"
+        "\"cold_sweep1_ms\":%.1f,\"warm_sweep1_ms\":%.1f,"
+        "\"warm_restart_ms\":%.1f,"
+        "\"speedup_warm_restart\":%.2f,\"speedup_first_sweep\":%.2f,"
+        "\"persist_reloads\":%llu,\"persist_hits\":%llu,"
+        "\"partitions_extended\":%llu,\"persist_fallbacks\":%llu,"
+        "\"persist_spills\":%llu,\"warm_evictions\":%llu}\n",
+        arm, smoke ? "true" : "false", static_cast<unsigned long long>(n0),
+        static_cast<unsigned long long>(delta), kAttrs, terms.size(), budget,
+        seeded_bytes, cold.total_ns / 1e6, warm.total_ns / 1e6,
+        cold.sweep1_ns / 1e6, warm.sweep1_ns / 1e6, warm.restart_ns / 1e6,
+        cold.total_ns / warm.total_ns,
+        (cold.restart_ns + cold.sweep1_ns) /
+            (warm.restart_ns + warm.sweep1_ns),
+        static_cast<unsigned long long>(warm.stats.persist_reloads),
+        static_cast<unsigned long long>(warm.stats.persist_hits),
+        static_cast<unsigned long long>(warm.stats.partitions_extended),
+        static_cast<unsigned long long>(warm.stats.persist_fallbacks),
+        static_cast<unsigned long long>(warm.stats.persist_spills),
+        static_cast<unsigned long long>(warm.stats.evictions));
+    return true;
+  };
+
+  const bool ok = run_pair("unbounded", EngineOptions{}.cache_budget_bytes) &&
+                  run_pair("budgeted", seeded_bytes / 8);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
-
-  // Equivalence guard: a persisted cache may cost time, never correctness.
-  for (size_t i = 0; i < terms.size(); ++i) {
-    if (std::abs(cold.sweep1[i] - warm.sweep1[i]) > 1e-9 ||
-        std::abs(cold.sweep2[i] - warm.sweep2[i]) > 1e-9) {
-      std::fprintf(
-          stderr,
-          "MISMATCH term %zu: sweep1 cold=%.15f warm=%.15f / sweep2 "
-          "cold=%.15f warm=%.15f\n",
-          i, cold.sweep1[i], warm.sweep1[i], cold.sweep2[i],
-          warm.sweep2[i]);
-      return 1;
-    }
-  }
-  if (warm.stats.persist_reloads == 0) {
-    std::fprintf(stderr,
-                 "warm restart reloaded nothing from disk — the tier is "
-                 "not wired\n");
-    return 1;
-  }
-
-  std::printf(
-      "{\"bench\":\"perf_persist\",\"smoke\":%s,"
-      "\"rows_base\":%llu,\"rows_delta\":%llu,\"attrs\":%u,\"terms\":%zu,"
-      "\"cold_total_ms\":%.1f,\"warm_total_ms\":%.1f,"
-      "\"cold_sweep1_ms\":%.1f,\"warm_sweep1_ms\":%.1f,"
-      "\"warm_restart_ms\":%.1f,"
-      "\"speedup_warm_restart\":%.2f,\"speedup_first_sweep\":%.2f,"
-      "\"persist_reloads\":%llu,\"persist_hits\":%llu,"
-      "\"partitions_extended\":%llu,\"persist_fallbacks\":%llu,"
-      "\"persist_spills\":%llu}\n",
-      smoke ? "true" : "false", static_cast<unsigned long long>(n0),
-      static_cast<unsigned long long>(delta), kAttrs, terms.size(),
-      cold.total_ns / 1e6, warm.total_ns / 1e6, cold.sweep1_ns / 1e6,
-      warm.sweep1_ns / 1e6, warm.restart_ns / 1e6,
-      cold.total_ns / warm.total_ns,
-      (cold.restart_ns + cold.sweep1_ns) /
-          (warm.restart_ns + warm.sweep1_ns),
-      static_cast<unsigned long long>(warm.stats.persist_reloads),
-      static_cast<unsigned long long>(warm.stats.persist_hits),
-      static_cast<unsigned long long>(warm.stats.partitions_extended),
-      static_cast<unsigned long long>(warm.stats.persist_fallbacks),
-      static_cast<unsigned long long>(warm.stats.persist_spills));
-  return 0;
+  return ok ? 0 : 1;
 }

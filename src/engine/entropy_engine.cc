@@ -25,6 +25,81 @@ namespace {
 // cache lives on.
 constexpr size_t kMaxFuseColumns = 4;
 
+// A persisted recipe must be a permutation of exactly its entry's attribute
+// set — anything else is a stale or foreign producer's record, and a
+// partition admitted under the wrong recipe would extend incorrectly at the
+// next catch-up.
+bool ChainCovers(const std::vector<uint32_t>& chain, AttrSet attrs,
+                 uint32_t num_attrs) {
+  if (chain.empty() || chain.size() != attrs.Count()) return false;
+  AttrSet seen;
+  for (uint32_t a : chain) {
+    if (a >= num_attrs || seen.Contains(a)) return false;
+    seen.Add(a);
+  }
+  return seen == attrs;
+}
+
+// True when every block of `p` lies inside one group of the relation under
+// `cols` (the dense columns of a refinement chain, in chain order) and the
+// blocks come in the order that chain's refinements emit them
+// (engine/partition.h): the first column's groups in ascending code order —
+// dense codes number values by first appearance, OfColumn's block order —
+// each deeper level's sibling groups under one parent contiguous (a group
+// met twice means blocks were split or shuffled), and the last level's
+// blocks, which are whole groups, in ascending first-row order within their
+// parent. O(mass * |cols|) code reads plus a sort of each sibling list.
+bool BlocksFollowChain(const Partition& p, const std::vector<Column>& cols) {
+  const size_t k = cols.size();
+  std::vector<uint32_t> prev(k), cur(k);
+  uint32_t prev_first = 0;
+  // siblings[j] (j >= 1): level-j codes met under the current level j-1
+  // group, checked for repeats when that group ends.
+  std::vector<std::vector<uint32_t>> siblings(k);
+  auto all_distinct = [](std::vector<uint32_t>* codes) {
+    std::sort(codes->begin(), codes->end());
+    const bool ok =
+        std::adjacent_find(codes->begin(), codes->end()) == codes->end();
+    codes->clear();
+    return ok;
+  };
+  for (uint32_t b = 0; b < p.NumBlocks(); ++b) {
+    const uint32_t* begin = p.BlockBegin(b);
+    const uint32_t* end = p.BlockEnd(b);
+    uint32_t mixed = 0;
+    for (size_t j = 0; j < k; ++j) {
+      const uint32_t* codes = cols[j].codes.data();
+      const uint32_t c = codes[*begin];
+      for (const uint32_t* r = begin + 1; r != end; ++r) {
+        mixed |= codes[*r] ^ c;
+      }
+      cur[j] = c;
+    }
+    if (mixed != 0) return false;
+    // d: the first level at which this block leaves the previous block's
+    // group.
+    size_t d = 0;
+    if (b > 0) {
+      while (d < k && cur[d] == prev[d]) ++d;
+      if (d == k) return false;                      // one group, two blocks
+      if (d == 0 && cur[0] < prev[0]) return false;  // roots out of order
+      if (d + 1 == k && d > 0 && *begin < prev_first) return false;
+      for (size_t j = k - 1; j > d; --j) {
+        if (!all_distinct(&siblings[j])) return false;
+      }
+    }
+    for (size_t j = std::max<size_t>(d, 1); j < k; ++j) {
+      siblings[j].push_back(cur[j]);
+    }
+    prev.swap(cur);
+    prev_first = *begin;
+  }
+  for (size_t j = 1; j < k; ++j) {
+    if (!all_distinct(&siblings[j])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
@@ -167,9 +242,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       }
     }
     for (AttrSet key : idle) {
-      // Idle entries still carry the current generation's row tag; demote
-      // them to the disk tier rather than discarding the work outright.
-      EvictPartitionLocked(partitions_.find(key), /*allow_spill=*/true);
+      EvictPartitionLocked(partitions_.find(key));
       discharged.push_back(key);
     }
     claimed.reserve(keep_keys.size());
@@ -475,9 +548,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       if (entry.second.rows != target_rows) stale.push_back(entry.first);
     }
     for (AttrSet key : stale) {
-      // Never spill a stale-generation entry: its row tag is superseded
-      // and the extended form is being published right now.
-      EvictPartitionLocked(partitions_.find(key), /*allow_spill=*/false);
+      EvictPartitionLocked(partitions_.find(key));
       swept.push_back(key);
     }
     for (auto it = entropies_.begin(); it != entropies_.end();) {
@@ -987,7 +1058,7 @@ void EntropyEngine::EvictToPrivateBudgetLocked(AttrSet spare) {
       }
     }
     if (victim == partitions_.end()) break;
-    EvictPartitionLocked(victim, /*allow_spill=*/true);
+    EvictPartitionLocked(victim);
   }
 }
 
@@ -1006,52 +1077,16 @@ void EntropyEngine::RemovePartitionLocked(
 }
 
 void EntropyEngine::EvictPartitionLocked(
-    std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it,
-    bool allow_spill) {
-  if (allow_spill && persist_ != nullptr && options_.persist_spill_on_evict &&
-      it->second.partition != nullptr) {
-    try {
-      SpillPartitionLocked(it->first, it->second);
-    } catch (const std::exception&) {
-      // A spill that cannot even be attempted (allocation) degrades to a
-      // plain eviction; the entry recomputes cold like any evicted one.
-      ++stats_.persist_fallbacks;
-    }
-  }
+    std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it) {
   RemovePartitionLocked(it);
   ++stats_.evictions;
-}
-
-void EntropyEngine::SpillPartitionLocked(AttrSet attrs,
-                                         const CachedPartition& cp) {
-  // Only current-generation entries go down: a superseded row tag would
-  // persist an entry no restart could use past the next catch-up anyway.
-  if (cp.rows !=
-      std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)->rows) {
-    return;
-  }
-  PersistedEntryMeta meta;
-  meta.fingerprint = FingerprintFor(cp.rows);  // fp_mu_ is a leaf under mu_
-  meta.attrs = attrs;
-  meta.rows = cp.rows;
-  meta.chain = cp.chain;
-  meta.last_col_card = cp.last_col_card;
-  auto eit = entropies_.find(attrs);
-  if (eit != entropies_.end() && eit->second.rows == cp.rows) {
-    meta.has_entropy = true;
-    meta.entropy = eit->second.h;
-  }
-  PartitionPayload payload;
-  cp.partition->FlattenStripped(&payload.rows, &payload.offsets);
-  if (persist_->Put(meta, &payload).ok()) ++stats_.persist_spills;
 }
 
 void EntropyEngine::DropPartitionForArbiter(AttrSet attrs) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = partitions_.find(attrs);
   if (it == partitions_.end()) return;
-  // An arbiter victim is a cold-ish but current entry: demote it to disk.
-  EvictPartitionLocked(it, /*allow_spill=*/true);
+  EvictPartitionLocked(it);
 }
 
 bool EntropyEngine::ParallelBatches() const {
@@ -1263,22 +1298,7 @@ bool EntropyEngine::TryServeFromDisk(
     return true;
   }
 
-  // The recorded chain must be a permutation of exactly this attribute
-  // set — anything else is a stale or foreign producer's record, and a
-  // partition admitted under the wrong recipe would extend incorrectly at
-  // the next catch-up.
-  AttrSet chain_set;
-  bool chain_ok =
-      !meta.chain.empty() && meta.chain.size() == attrs.Count();
-  for (uint32_t a : meta.chain) {
-    if (!chain_ok) break;
-    if (a >= kMaxAttrs || chain_set.Contains(a)) {
-      chain_ok = false;
-      break;
-    }
-    chain_set.Add(a);
-  }
-  if (!chain_ok || chain_set != attrs) {
+  if (!ChainCovers(meta.chain, attrs, relation().NumAttrs())) {
     (void)persist_->Erase(fp, attrs, pin.rows);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.persist_fallbacks;
@@ -1291,11 +1311,10 @@ bool EntropyEngine::TryServeFromDisk(
     ++stats_.persist_fallbacks;
     return false;
   }
-  Result<Partition> rebuilt = Partition::FromStripped(
-      std::move(loaded.value().rows), std::move(loaded.value().offsets),
-      pin.rows);
+  Result<Partition> rebuilt =
+      RebuildPersisted(std::move(loaded).value(), meta.chain, pin.rows);
   if (!rebuilt.ok()) {
-    // Checksum-clean but structurally invalid (stale producer): the entry
+    // Checksum-clean but invalid (a stale or buggy producer): the entry
     // can never serve, so drop it rather than re-failing every miss.
     (void)persist_->Erase(fp, attrs, pin.rows);
     std::lock_guard<std::mutex> lock(mu_);
@@ -1330,6 +1349,25 @@ bool EntropyEngine::TryServeFromDisk(
   return true;
 }
 
+Result<Partition> EntropyEngine::RebuildPersisted(
+    PartitionPayload payload, const std::vector<uint32_t>& chain,
+    uint64_t rows) const {
+  Result<Partition> rebuilt = Partition::FromStripped(
+      std::move(payload.rows), std::move(payload.offsets), rows);
+  if (!rebuilt.ok()) return rebuilt;
+  // The frame is sound; now the content. A CRC-clean blob under the right
+  // fingerprint key can still come from a buggy producer, and a block that
+  // mixes codes would be served as one group.
+  std::vector<Column> cols;
+  cols.reserve(chain.size());
+  for (uint32_t a : chain) cols.push_back(store_.ColumnAt(a, rows));
+  if (!BlocksFollowChain(rebuilt.value(), cols)) {
+    return Status::InvalidArgument(
+        "stripped payload: blocks disagree with the relation's codes");
+  }
+  return rebuilt;
+}
+
 void EntropyEngine::WarmStartFromPersist() {
   const uint64_t now = store_.SyncedRows();
   const std::vector<PersistedEntryMeta> all = persist_->AllEntries();
@@ -1346,7 +1384,7 @@ void EntropyEngine::WarmStartFromPersist() {
   std::unordered_map<uint64_t, uint64_t> fp_at;
   for (uint64_t m : row_counts) fp_at.emplace(m, FingerprintFor(m));
   // Leave the tracker at the current row count: the miss-path probe and
-  // spills read it from here on.
+  // catch-up publish-down read it from here on.
   (void)FingerprintFor(now);
 
   // Per attribute set, the deepest usable prefix entry: content-verified
@@ -1369,7 +1407,9 @@ void EntropyEngine::WarmStartFromPersist() {
 
   // Chain length ascending, so every entry's direct parent (a strict chain
   // prefix, hence a smaller set) is reloaded and extended before the entry
-  // needs it — the same order catch-up extends in.
+  // needs it — the same order catch-up extends in. Short chains are also
+  // the coarse, widely reused bases, so a budget that stops the scan early
+  // keeps the entries every later miss refines from.
   std::vector<const PersistedEntryMeta*> picked;
   picked.reserve(best.size());
   for (const auto& kv : best) picked.push_back(kv.second);
@@ -1389,22 +1429,23 @@ void EntropyEngine::WarmStartFromPersist() {
   };
   std::unordered_map<AttrSet, Reloaded, AttrSetHash> ready;
   uint64_t reloads = 0, extended = 0, fallbacks = 0, value_hits = 0;
+  // Reloading past what the cache can keep buys nothing: the charge below
+  // would evict the surplus on the spot. The allowance is the arbiter's
+  // headroom, but never less than the floor it guarantees each engine, or
+  // the private budget without an arbiter. Entries past it stay on disk;
+  // the miss probe still serves those at the current row count.
+  size_t allowance = options_.cache_budget_bytes;
+  if (arbiter_ != nullptr) {
+    const size_t budget = arbiter_->budget_bytes();
+    const size_t accounted = arbiter_->AccountedBytes();
+    allowance = std::max(accounted < budget ? budget - accounted : 0,
+                         arbiter_->EffectiveFloorBytes());
+  }
+  size_t reloaded_bytes = 0;
 
   for (const PersistedEntryMeta* e : picked) {
     if (!e->has_payload) continue;  // value-only entries handled below
-    // Same recipe sanity as the miss path.
-    AttrSet chain_set;
-    bool chain_ok =
-        !e->chain.empty() && e->chain.size() == e->attrs.Count();
-    for (uint32_t a : e->chain) {
-      if (!chain_ok) break;
-      if (a >= kMaxAttrs || chain_set.Contains(a)) {
-        chain_ok = false;
-        break;
-      }
-      chain_set.Add(a);
-    }
-    if (!chain_ok || chain_set != e->attrs) {
+    if (!ChainCovers(e->chain, e->attrs, relation().NumAttrs())) {
       ++fallbacks;
       continue;
     }
@@ -1413,9 +1454,8 @@ void EntropyEngine::WarmStartFromPersist() {
       ++fallbacks;
       continue;
     }
-    Result<Partition> rebuilt = Partition::FromStripped(
-        std::move(loaded.value().rows), std::move(loaded.value().offsets),
-        e->rows);
+    Result<Partition> rebuilt =
+        RebuildPersisted(std::move(loaded).value(), e->chain, e->rows);
     if (!rebuilt.ok()) {
       (void)persist_->Erase(e->fingerprint, e->attrs, e->rows);
       ++fallbacks;
@@ -1425,7 +1465,6 @@ void EntropyEngine::WarmStartFromPersist() {
     r.meta = e;
     r.original =
         std::make_shared<const Partition>(std::move(rebuilt).value());
-    ++reloads;
     const uint64_t m = e->rows;
     if (m == now) {
       r.final = r.original;
@@ -1434,7 +1473,6 @@ void EntropyEngine::WarmStartFromPersist() {
       const Column col = store_.ColumnAt(e->chain[0], now);
       r.final = std::make_shared<const Partition>(
           r.original->ExtendedOfColumn(col, m));
-      ++extended;
     } else {
       // Deeper entry: the delta path needs the direct parent both in its
       // persisted form (at the same row count — the block correspondence
@@ -1466,8 +1504,12 @@ void EntropyEngine::WarmStartFromPersist() {
       r.final = std::make_shared<const Partition>(r.original->ExtendedBy(
           pit->second.original.get(), *pit->second.final, col, m, nullptr,
           &r.delta));
-      ++extended;
     }
+    const size_t bytes = r.final->MemoryBytes();
+    if (bytes > allowance - reloaded_bytes) break;
+    reloaded_bytes += bytes;
+    ++reloads;
+    if (m != now) ++extended;
     ready.emplace(e->attrs, std::move(r));
   }
 

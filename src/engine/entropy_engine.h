@@ -91,6 +91,7 @@ class WorkerPool;            // engine/worker_pool.h
 class PersistentCacheStore;  // persist/persistent_store.h
 class FingerprintTracker;    // relation/fingerprint.h
 struct PersistedEntryMeta;   // persist/persistent_store.h
+struct PartitionPayload;     // persist/persistent_store.h
 
 /// A reader's pinned view of the relation: the synced row count and epoch
 /// the engine's caches covered when the pin was taken. Every value
@@ -151,21 +152,26 @@ struct EngineOptions {
   /// on a cache miss before computing cold (entries are keyed by relation
   /// content fingerprint, so a foreign or stale file can cost a probe,
   /// never change an answer), seeds its in-memory cache from it at
-  /// construction (warm restart: persisted prefix partitions are reloaded
-  /// and delta-extended to the current row count through the same
-  /// bit-identical extension machinery catch-up uses), and publishes
-  /// extended entries back down after each catch-up. nullptr (default): no
-  /// disk tier.
+  /// construction, and publishes extended entries back down after each
+  /// catch-up. nullptr (default): no disk tier.
+  ///
+  /// Warm restart reloads only what the cache can keep. The allowance is
+  /// the arbiter's headroom (budget_bytes() minus AccountedBytes(), but
+  /// never less than EffectiveFloorBytes()), or cache_budget_bytes without
+  /// an arbiter. Persisted prefix partitions are reloaded shortest chain
+  /// first (parents before children) and delta-extended to the current row
+  /// count through the same bit-identical extension machinery catch-up
+  /// uses, until the next extended partition would overrun the allowance;
+  /// the rest stay on disk, where the miss probe still finds the ones at
+  /// the current row count. Value-only records at the current row count
+  /// are all served. Evictions never write to disk: an evicted partition is
+  /// dropped, and the disk tier learns entries only from catch-up
+  /// publish-down and PersistCache.
   std::shared_ptr<PersistentCacheStore> persist_store;
-  /// With a disk tier attached: spill a partition to disk when it is
-  /// evicted from memory (budget pressure, generational idle drop), so the
-  /// eviction demotes the entry a tier instead of discarding the work.
-  /// Stale-generation sweeps never spill (their row tag is superseded).
-  bool persist_spill_on_evict = true;
   /// With a disk tier attached: after each epoch catch-up, write the
   /// extended partitions back down so the disk tier tracks the current row
   /// count (and erase the superseded prefix entries they replace). Off, the
-  /// disk tier only learns entries at eviction/PersistCache time.
+  /// disk tier only learns entries at PersistCache time.
   bool persist_on_catchup = true;
   /// Threads for ONE refinement (intra-operation sharding,
   /// engine/refine_kernels.h): a single large query or catch-up extension
@@ -215,11 +221,12 @@ struct EngineStats {
                                  ///< from their persisted row count to the
                                  ///< relation's current one.
   uint64_t persist_spills = 0;   ///< entries written down to the disk tier
-                                 ///< (evictions, catch-up publish,
-                                 ///< PersistCache).
+                                 ///< (catch-up publish, PersistCache).
   uint64_t persist_fallbacks = 0; ///< disk entries that failed to load or
-                                  ///< validate; served cold instead (the
-                                  ///< degrade-never-corrupt path).
+                                  ///< validate (structurally or against
+                                  ///< the relation's codes); served cold
+                                  ///< instead (the degrade-never-corrupt
+                                  ///< path).
   // PartitionOf/PartitionAt (kept apart from the entropy counters above,
   // so partition consumers do not perturb the entropy hit rate).
   uint64_t partition_queries = 0; ///< PartitionOf/PartitionAt calls on a
@@ -451,8 +458,9 @@ class EntropyEngine {
   void RunCatchUp(uint64_t target_epoch, uint64_t target_rows);
 
   /// The arbiter's evict callback: drops one cached partition (if still
-  /// present) and counts the eviction. Takes mu_; never calls the arbiter
-  /// back, preserving the arbiter -> engine lock order.
+  /// present) and counts the eviction; nothing is written to disk. Takes
+  /// mu_; never calls the arbiter back, preserving the arbiter -> engine
+  /// lock order.
   void DropPartitionForArbiter(AttrSet attrs);
 
   /// Removes one cached partition — map entry, popcount-bucket index
@@ -465,14 +473,11 @@ class EntropyEngine {
 
   /// RemovePartitionLocked plus the eviction counter — the true-eviction
   /// form (budget pressure, generational drop, stale-generation sweep).
-  /// `allow_spill` additionally offers the entry to the disk tier first
-  /// (EngineOptions::persist_spill_on_evict): true for evictions of
-  /// current-generation entries (budget pressure, idle drop, arbiter
-  /// victims), false for stale-generation sweeps. Requires mu_ held (the
-  /// store is a leaf in the lock order, so the synchronous spill is legal).
+  /// The partition is dropped, never written to disk: recomputing it from
+  /// a cached base costs less than flattening, checksumming and writing
+  /// it. Requires mu_ held.
   void EvictPartitionLocked(
-      std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it,
-      bool allow_spill);
+      std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it);
 
   /// The relation's content fingerprint over its first `rows` rows, via the
   /// incremental tracker (fp_mu_, a leaf: callable with or without mu_).
@@ -487,16 +492,24 @@ class EntropyEngine {
                         bool materialize_final, double* h_out,
                         std::shared_ptr<const Partition>* partition_out);
 
-  /// Offers one evicted current-generation entry to the disk tier (best
-  /// effort; failures degrade to a plain eviction). Requires mu_ held.
-  void SpillPartitionLocked(AttrSet attrs, const CachedPartition& cp);
+  /// Rebuilds a persisted payload into a partition over the first `rows`
+  /// rows and checks it against the relation itself: the structural check
+  /// of Partition::FromStripped, then every block's rows must agree on
+  /// each column of `chain`, and the blocks must come in the order the
+  /// refinement chain produces (engine/partition.h; O(mass * |chain|)).
+  /// InvalidArgument on any failure — the entry must not be served.
+  Result<Partition> RebuildPersisted(PartitionPayload payload,
+                                     const std::vector<uint32_t>& chain,
+                                     uint64_t rows) const;
 
   /// Constructor-time warm restart: reloads this relation's persisted
-  /// entries (fingerprint-verified at their recorded row counts) and
-  /// delta-extends them to the current row count through the engine's
-  /// bit-identical extension machinery. Entries that cannot be extended
-  /// cheaply (missing parent, kernel threshold crossed) are skipped, not
-  /// replayed — warm restart must never cost more than a cold start.
+  /// entries (fingerprint-verified at their recorded row counts), shortest
+  /// chain first, and delta-extends them to the current row count through
+  /// the engine's bit-identical extension machinery, stopping at the first
+  /// one that would overrun the cache's allowance (see
+  /// EngineOptions::persist_store). Entries that cannot be extended cheaply
+  /// (missing parent, kernel threshold crossed) are skipped, not replayed —
+  /// warm restart must never cost more than a cold start.
   void WarmStartFromPersist();
 
   /// Resolved BatchEntropy pool size for a batch of n terms.

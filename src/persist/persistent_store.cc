@@ -499,9 +499,9 @@ Status PersistentCacheStore::Put(const PersistedEntryMeta& meta,
   const Key key{meta.fingerprint, meta.attrs.mask(), meta.rows};
   auto it = index_.find(key);
   if (it != index_.end()) {
-    // Identical-content dedupe: spill-on-evict and catch-up re-offer hot
-    // entries every epoch; rewriting bytes already on disk would churn the
-    // journal for nothing. "Carries at least as much" is enough — an
+    // Identical-content dedupe: PersistCache re-offers every entry a warm
+    // start reloaded unchanged; rewriting bytes already on disk would churn
+    // the journal for nothing. "Carries at least as much" is enough — an
     // entropy-only put never downgrades a resident blob entry.
     const PersistedEntryMeta& have = it->second;
     const bool payload_covered = (payload == nullptr) || have.has_payload;

@@ -151,8 +151,9 @@ class PersistentCacheStore {
   /// ignored on input; pass `payload` to attach a partition blob). An entry
   /// under the same (fingerprint, attrs, rows) key is REPLACED — unless the
   /// resident entry already carries everything this put would write, in
-  /// which case the put is a counted no-op (spill-on-evict re-spills hot
-  /// entries; rewriting identical bytes would churn the journal).
+  /// which case the put is a counted no-op (PersistCache at every shutdown
+  /// re-offers entries a warm start reloaded unchanged; rewriting identical
+  /// bytes would churn the journal).
   /// Blob-then-manifest write order; on any failure the index is unchanged
   /// and the entry simply stays unpersisted.
   Status Put(const PersistedEntryMeta& meta, const PartitionPayload* payload);

@@ -10,7 +10,9 @@
 //   2. Warm-restart equivalence — a fresh engine over a reopened store must
 //      serve the fault-free cold reference to 1e-9, and its
 //      reloaded-then-extended partitions must be BITWISE identical to a
-//      cold chain replay over the full relation.
+//      cold chain replay over the full relation; under a cache budget it
+//      reloads only what the budget holds, and a reloaded payload that
+//      disagrees with the relation's codes is rejected, never served.
 //   3. The crash-recovery soak (needs -DAJD_ENABLE_FAILPOINTS=ON) —
 //      randomized kill-at-offset during persistence writes via the
 //      torn-write simulator (persist_internal), then a clean reopen: no
@@ -19,13 +21,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "engine/cache_arbiter.h"
 #include "engine/column_store.h"
 #include "engine/entropy_engine.h"
 #include "engine/partition.h"
@@ -33,6 +38,7 @@
 #include "persist/persistent_store.h"
 #include "random/rng.h"
 #include "relation/attr_set.h"
+#include "relation/fingerprint.h"
 #include "relation/relation.h"
 #include "test_util.h"
 #include "util/failpoint.h"
@@ -349,6 +355,38 @@ std::vector<AttrSet> AllNonEmptySubsets(uint32_t attrs) {
   return sets;
 }
 
+/// Bitwise acceptance: every partition the engine caches must equal the
+/// cold replay of its recorded chain over the relation's current rows —
+/// same stripped rows, same block boundaries, same accumulated entropy
+/// bits. Returns how many cached partitions were checked.
+uint64_t ExpectCachedPartitionsReplayCold(EntropyEngine* engine,
+                                          const Relation& r,
+                                          const std::vector<AttrSet>& sets) {
+  ColumnStore cold(&r);
+  uint64_t checked = 0;
+  for (AttrSet s : sets) {
+    std::vector<uint32_t> chain;
+    std::shared_ptr<const Partition> cached;
+    if (!engine->CachedPartitionInfo(s, &chain, &cached)) continue;
+    EXPECT_EQ(chain.size(), s.Count()) << "attrs=" << s.ToString();
+    if (chain.size() != s.Count()) continue;
+    Partition replay = Partition::OfColumn(cold.column(chain[0]));
+    for (size_t j = 1; j < chain.size(); ++j) {
+      replay = replay.RefinedBy(cold.column(chain[j]));
+    }
+    std::vector<uint32_t> cached_rows, cached_offsets;
+    std::vector<uint32_t> replay_rows, replay_offsets;
+    cached->FlattenStripped(&cached_rows, &cached_offsets);
+    replay.FlattenStripped(&replay_rows, &replay_offsets);
+    EXPECT_EQ(cached_rows, replay_rows) << "attrs=" << s.ToString();
+    EXPECT_EQ(cached_offsets, replay_offsets) << "attrs=" << s.ToString();
+    EXPECT_EQ(engine->Entropy(s), replay.EntropyNats(r.NumRows()))
+        << "attrs=" << s.ToString();
+    ++checked;
+  }
+  return checked;
+}
+
 TEST(PersistEngine, WarmRestartServesColdAnswersWithBitwisePartitions) {
   constexpr uint32_t kAttrs = 4;
   Rng rng(20260808);
@@ -392,31 +430,9 @@ TEST(PersistEngine, WarmRestartServesColdAnswersWithBitwisePartitions) {
   }
   EXPECT_GT(engine.Stats().partitions_extended, 0u);
 
-  // Bitwise acceptance: every reloaded-then-extended partition must equal
-  // the cold replay of its recorded chain over the FULL relation — same
-  // stripped rows, same block boundaries, same accumulated entropy bits.
-  ColumnStore cold(&r);
-  uint64_t checked = 0;
-  for (AttrSet s : sets) {
-    std::vector<uint32_t> chain;
-    std::shared_ptr<const Partition> cached;
-    if (!engine.CachedPartitionInfo(s, &chain, &cached)) continue;
-    ASSERT_EQ(chain.size(), s.Count());
-    Partition replay = Partition::OfColumn(cold.column(chain[0]));
-    for (size_t j = 1; j < chain.size(); ++j) {
-      replay = replay.RefinedBy(cold.column(chain[j]));
-    }
-    std::vector<uint32_t> cached_rows, cached_offsets;
-    std::vector<uint32_t> replay_rows, replay_offsets;
-    cached->FlattenStripped(&cached_rows, &cached_offsets);
-    replay.FlattenStripped(&replay_rows, &replay_offsets);
-    EXPECT_EQ(cached_rows, replay_rows) << "attrs=" << s.ToString();
-    EXPECT_EQ(cached_offsets, replay_offsets) << "attrs=" << s.ToString();
-    EXPECT_EQ(engine.Entropy(s), replay.EntropyNats(r.NumRows()))
-        << "attrs=" << s.ToString();
-    ++checked;
-  }
-  EXPECT_GT(checked, 0u);
+  // Every reloaded-then-extended partition replays cold over the FULL
+  // relation.
+  EXPECT_GT(ExpectCachedPartitionsReplayCold(&engine, r, sets), 0u);
 }
 
 TEST(PersistEngine, ForeignStoreContentIsIgnoredNotTrusted) {
@@ -445,6 +461,253 @@ TEST(PersistEngine, ForeignStoreContentIsIgnoredNotTrusted) {
   for (AttrSet s : sets) {
     ASSERT_NEAR(engine.Entropy(s), EntropyOf(b, s), 1e-9)
         << "attrs=" << s.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Warm restart under a cache budget — every build. The warm start reloads
+// only what the budget can keep; the rest stays on disk, where the miss
+// probe finds the entries at the current row count.
+// ---------------------------------------------------------------------------
+
+/// The shared shape of the budgeted restarts: 6 attributes, 3000 rows
+/// seeded with the default budget (the partition of every subset
+/// materialized and persisted), a 60-row delta, and a restart budget of
+/// 1/8 of the seeded bytes.
+struct BudgetedRestart {
+  static constexpr uint32_t kAttrs = 6;
+  BudgetedRestart() {
+    Rng rng(20261018);
+    const auto all_rows = RandomCodeRows(&rng, kAttrs, 4, 3060);
+    base_rows.assign(all_rows.begin(), all_rows.end() - 60);
+    delta_rows.assign(all_rows.end() - 60, all_rows.end());
+    other_rows = RandomCodeRows(&rng, kAttrs, 4, 3000);
+    sets = AllNonEmptySubsets(kAttrs);
+    size_t seeded_bytes = 0;
+    {
+      Relation seed = RelationOver(base_rows, kAttrs);
+      EngineOptions opt;
+      opt.persist_store = MustOpen(dir.str());
+      EntropyEngine engine(&seed, opt);
+      engine.PrewarmSubsets(sets);
+      EXPECT_TRUE(engine.PersistCache().ok());
+      seeded_bytes = engine.PartitionBytes();
+    }
+    ArbiterOptions aopt;
+    aopt.budget_bytes = seeded_bytes / 8;
+    arbiter = std::make_shared<CacheArbiter>(aopt);
+  }
+  EngineOptions Options() const {
+    EngineOptions opt;
+    opt.persist_store = MustOpen(dir.str());
+    opt.cache_arbiter = arbiter;
+    return opt;
+  }
+  size_t budget() const { return arbiter->budget_bytes(); }
+
+  TempDir dir;
+  std::vector<std::vector<uint32_t>> base_rows, delta_rows, other_rows;
+  std::vector<AttrSet> sets;
+  std::shared_ptr<CacheArbiter> arbiter;
+};
+
+TEST(PersistEngine, BudgetedWarmStartAfterAppendReloadsWithinBudget) {
+  BudgetedRestart t;
+  Relation r = RelationOver(t.base_rows, BudgetedRestart::kAttrs);
+  ASSERT_TRUE(r.AppendBatch(t.delta_rows).ok());
+  EntropyEngine engine(&r, t.Options());
+
+  // Construction charged no more than the budget holds: nothing evicted.
+  const EngineStats warm = engine.Stats();
+  EXPECT_EQ(t.arbiter->Stats().evictions, 0u);
+  EXPECT_LE(t.arbiter->AccountedBytes(), t.budget());
+  EXPECT_GT(warm.persist_reloads, 0u);
+  EXPECT_LT(warm.persist_reloads, t.sets.size());  // the budget stopped it
+  EXPECT_EQ(warm.persist_extended, warm.persist_reloads);
+  EXPECT_EQ(warm.persist_fallbacks, 0u);
+  EXPECT_EQ(ExpectCachedPartitionsReplayCold(&engine, r, t.sets),
+            warm.persist_reloads);
+
+  for (AttrSet s : t.sets) {
+    ASSERT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9)
+        << "attrs=" << s.ToString();
+  }
+  EXPECT_EQ(engine.Stats().persist_fallbacks, 0u);
+  EXPECT_LE(t.arbiter->AccountedBytes(), t.budget());
+  EXPECT_GT(ExpectCachedPartitionsReplayCold(&engine, r, t.sets), 0u);
+}
+
+TEST(PersistEngine, BudgetedWarmStartAtSameRowCountLeavesTheRestToTheProbe) {
+  BudgetedRestart t;
+  Relation r = RelationOver(t.base_rows, BudgetedRestart::kAttrs);
+  EntropyEngine engine(&r, t.Options());
+
+  const EngineStats warm = engine.Stats();
+  EXPECT_EQ(t.arbiter->Stats().evictions, 0u);
+  EXPECT_LE(t.arbiter->AccountedBytes(), t.budget());
+  EXPECT_GT(warm.persist_reloads, 0u);
+  EXPECT_LT(warm.persist_reloads, t.sets.size());
+  EXPECT_EQ(warm.persist_extended, 0u);
+  EXPECT_EQ(warm.persist_fallbacks, 0u);
+  EXPECT_EQ(ExpectCachedPartitionsReplayCold(&engine, r, t.sets),
+            warm.persist_reloads);
+
+  for (AttrSet s : t.sets) {
+    ASSERT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9)
+        << "attrs=" << s.ToString();
+  }
+  // The entries past the budget stayed on disk and came back through the
+  // exact-key miss probe.
+  const EngineStats after = engine.Stats();
+  EXPECT_GT(after.persist_hits, warm.persist_hits);
+  EXPECT_GT(after.persist_reloads, warm.persist_reloads);
+  EXPECT_EQ(after.persist_fallbacks, 0u);
+  EXPECT_LE(t.arbiter->AccountedBytes(), t.budget());
+  EXPECT_GT(ExpectCachedPartitionsReplayCold(&engine, r, t.sets), 0u);
+}
+
+TEST(PersistEngine, BudgetedWarmStartSharesTheArbiterWithAnotherRelation) {
+  BudgetedRestart t;
+  // A second relation's engine holds the budget before the restart.
+  Relation other = RelationOver(t.other_rows, BudgetedRestart::kAttrs);
+  EngineOptions other_opt;
+  other_opt.cache_arbiter = t.arbiter;
+  EntropyEngine other_engine(&other, other_opt);
+  other_engine.PrewarmSubsets(t.sets);
+  EXPECT_GT(t.arbiter->EngineBytes(&other_engine), 0u);
+
+  Relation r = RelationOver(t.base_rows, BudgetedRestart::kAttrs);
+  ASSERT_TRUE(r.AppendBatch(t.delta_rows).ok());
+  EntropyEngine engine(&r, t.Options());
+  EXPECT_LE(t.arbiter->AccountedBytes(), t.budget());
+  EXPECT_GT(engine.Stats().persist_reloads, 0u);
+  EXPECT_EQ(engine.Stats().persist_fallbacks, 0u);
+
+  for (AttrSet s : t.sets) {
+    ASSERT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9)
+        << "attrs=" << s.ToString();
+    ASSERT_NEAR(other_engine.Entropy(s), EntropyOf(other, s), 1e-9)
+        << "attrs=" << s.ToString();
+  }
+  EXPECT_LE(t.arbiter->AccountedBytes(), t.budget());
+  ExpectCachedPartitionsReplayCold(&engine, r, t.sets);
+  ExpectCachedPartitionsReplayCold(&other_engine, other, t.sets);
+}
+
+// ---------------------------------------------------------------------------
+// Content check on reload — every build. A payload can pass its CRC and
+// FromStripped's structural check under the right fingerprint key and
+// still not be the partition of its attribute set (a buggy producer);
+// both reload paths must reject it and answer cold.
+// ---------------------------------------------------------------------------
+
+using Blocks = std::vector<std::vector<uint32_t>>;
+
+Blocks BlocksOf(const PartitionPayload& p) {
+  Blocks blocks;
+  for (size_t b = 0; b + 1 < p.offsets.size(); ++b) {
+    blocks.emplace_back(p.rows.begin() + p.offsets[b],
+                        p.rows.begin() + p.offsets[b + 1]);
+  }
+  return blocks;
+}
+
+PartitionPayload PayloadOf(const Blocks& blocks) {
+  PartitionPayload p;
+  p.offsets.push_back(0);
+  for (const auto& block : blocks) {
+    p.rows.insert(p.rows.end(), block.begin(), block.end());
+    p.offsets.push_back(static_cast<uint32_t>(p.rows.size()));
+  }
+  return p;
+}
+
+TEST(PersistEngine, ReloadRejectsPayloadsThatDisagreeWithTheRelation) {
+  constexpr uint32_t kAttrs = 2;
+  Rng rng(20261019);
+  const auto rows = RandomCodeRows(&rng, kAttrs, 3, 60);
+  const AttrSet root = AttrSet::FromMask(0x1);
+  const AttrSet pair = AttrSet::FromMask(0x3);
+  Relation probe = RelationOver(rows, kAttrs);
+  const uint64_t n = probe.NumRows();
+  const uint64_t fp = FingerprintTracker(&probe).At(n);
+  ColumnStore cols(&probe);
+  const Partition root_part = Partition::OfColumn(cols.column(0));
+  PartitionPayload root_payload;
+  root_part.FlattenStripped(&root_payload.rows, &root_payload.offsets);
+  PartitionPayload pair_payload;
+  root_part.RefinedBy(cols.column(1))
+      .FlattenStripped(&pair_payload.rows, &pair_payload.offsets);
+  const Blocks good = BlocksOf(pair_payload);
+  ASSERT_GE(good.size(), 3u);
+  ASSERT_GE(good[0].size(), 4u);
+
+  // Each corruption keeps the frame FromStripped accepts: blocks of >= 2
+  // ascending, disjoint, in-range rows.
+  std::vector<std::pair<const char*, Blocks>> bad;
+  {
+    Blocks mixed = good;  // two blocks trade a row: both mix codes
+    std::swap(mixed[0].back(), mixed[1].back());
+    std::sort(mixed[0].begin(), mixed[0].end());
+    std::sort(mixed[1].begin(), mixed[1].end());
+    bad.emplace_back("mixed codes", mixed);
+  }
+  {
+    Blocks split = good;  // one group stored as two blocks
+    split.insert(split.begin() + 1,
+                 std::vector<uint32_t>(split[0].begin() + 2, split[0].end()));
+    split[0].resize(2);
+    bad.emplace_back("split group", split);
+  }
+  {
+    Blocks swapped = good;  // first two blocks out of chain order
+    std::swap(swapped[0], swapped[1]);
+    bad.emplace_back("swapped blocks", swapped);
+  }
+  {
+    Blocks reversed(good.rbegin(), good.rend());
+    bad.emplace_back("reversed blocks", reversed);
+  }
+
+  for (const auto& [what, blocks] : bad) {
+    const PartitionPayload payload = PayloadOf(blocks);
+    ASSERT_TRUE(Partition::FromStripped(payload.rows, payload.offsets, n).ok())
+        << what;
+    PersistedEntryMeta root_meta = ValueEntry(fp, root.mask(), n, 0.0);
+    root_meta.has_entropy = false;
+    root_meta.chain = {0};
+    PersistedEntryMeta pair_meta = root_meta;
+    pair_meta.attrs = pair;
+    pair_meta.chain = {0, 1};
+    for (const bool via_probe : {false, true}) {
+      SCOPED_TRACE(std::string(what) +
+                   (via_probe ? " via the miss probe" : " via warm start"));
+      TempDir dir;
+      {
+        auto store = MustOpen(dir.str());
+        ASSERT_TRUE(store->Put(root_meta, &root_payload).ok());
+        ASSERT_TRUE(store->Put(pair_meta, &payload).ok());
+      }
+      Relation r = RelationOver(rows, kAttrs);
+      EngineOptions opt;
+      opt.persist_store = MustOpen(dir.str());
+      // A zero budget stops the warm start at the first (root) payload, so
+      // the pair entry is first read by the miss probe.
+      if (via_probe) opt.cache_budget_bytes = 0;
+      EntropyEngine engine(&r, opt);
+      EXPECT_EQ(engine.Stats().persist_reloads, via_probe ? 0u : 1u);
+      EXPECT_EQ(engine.Stats().persist_fallbacks, via_probe ? 0u : 1u);
+      EXPECT_NEAR(engine.Entropy(root), EntropyOf(r, root), 1e-9);
+      EXPECT_NEAR(engine.Entropy(pair), EntropyOf(r, pair), 1e-9);
+      const EngineStats stats = engine.Stats();
+      EXPECT_EQ(stats.persist_fallbacks, 1u);
+      // The valid root entry served either way; the bad one never did and
+      // is gone from the store.
+      EXPECT_EQ(stats.persist_reloads, 1u);
+      EXPECT_EQ(stats.persist_hits, via_probe ? 1u : 0u);
+      PersistedEntryMeta got;
+      EXPECT_FALSE(opt.persist_store->LookupExact(fp, pair, n, &got));
+    }
   }
 }
 

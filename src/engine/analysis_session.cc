@@ -106,7 +106,6 @@ EngineStats AnalysisSession::TotalStats() const {
     total.base_reuses += s.base_reuses;
     total.partition_builds += s.partition_builds;
     total.refinements += s.refinements;
-    total.fused_refinements += s.fused_refinements;
     total.evictions += s.evictions;
     total.epoch_catchups += s.epoch_catchups;
     total.partitions_extended += s.partitions_extended;

@@ -377,25 +377,4 @@ double DistinctSketch::EstimateDistinct(uint64_t m,
   return std::min(y, card);
 }
 
-Column ColumnStore::ComposeColumns(const std::vector<uint32_t>& attrs) const {
-  AJD_CHECK(!attrs.empty());
-  const uint64_t n = NumRows();
-  uint64_t product = 1;
-  for (uint32_t a : attrs) {
-    product *= ColumnAt(a, n).cardinality;
-    AJD_CHECK(product <= UINT32_MAX);
-  }
-  std::vector<uint32_t> codes(n);
-  const Column first = ColumnAt(attrs[0], n);
-  for (uint64_t i = 0; i < n; ++i) codes[i] = first.codes[i];
-  for (size_t j = 1; j < attrs.size(); ++j) {
-    const Column col = ColumnAt(attrs[j], n);
-    const uint32_t card = col.cardinality;
-    for (uint64_t i = 0; i < n; ++i) {
-      codes[i] = codes[i] * card + col.codes[i];
-    }
-  }
-  return MakeOwnedColumn(std::move(codes), static_cast<uint32_t>(product));
-}
-
 }  // namespace ajd

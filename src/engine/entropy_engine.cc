@@ -19,12 +19,6 @@ namespace ajd {
 
 namespace {
 
-// Fused refinement applies at most this many missing columns in one
-// composite pass. Deeper tails are rare (the cost model usually finds a
-// close cached base) and would dilute the intermediate-partition reuse the
-// cache lives on.
-constexpr size_t kMaxFuseColumns = 4;
-
 // A persisted recipe must be a permutation of exactly its entry's attribute
 // set — anything else is a stale or foreign producer's record, and a
 // partition admitted under the wrong recipe would extend incorrectly at the
@@ -419,12 +413,12 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       }
       ++extended_count;
     } else {
-      // Fused gap, evicted ancestor, divergent chain, or a column whose
-      // cardinality crossed its kernel-selection threshold: replay the
-      // remaining chain cold from the deepest extended ancestor (bit-
-      // identical to the delta path by kernel reproducibility). The LAST
-      // refinement step emits the parent->child correspondence at build
-      // time, so even a replayed entry's NEXT catch-up is scan-free.
+      // Evicted ancestor, divergent chain, or a column whose cardinality
+      // crossed its kernel-selection threshold: replay the remaining chain
+      // cold from the deepest extended ancestor (bit-identical to the delta
+      // path by kernel reproducibility). The LAST refinement step emits the
+      // parent->child correspondence at build time, so even a replayed
+      // entry's NEXT catch-up is scan-free.
       Partition cur;
       const Partition* base = parent_new.get();
       size_t j = ancestor_len;
@@ -728,21 +722,8 @@ double EntropyEngine::ComputeEntropy(
   // The base's recorded build recipe; every partition cached below extends
   // it, so catch-up can replay (or delta-extend) the exact chain later.
   std::vector<uint32_t> cur_chain;
-  // Partition-cache pressure: evictions have happened and the cache sits
-  // near its budget, so intermediates cached now are unlikely to survive
-  // until a reuse — the signal that lets the fused path run (below)
-  // without starving future base lookups. Under an arbiter the pressure is
-  // global; it is sampled BEFORE taking mu_ because the engine must never
-  // wait on the arbiter while holding its own mutex (lock order is
-  // arbiter -> engine, see engine/cache_arbiter.h).
-  bool cache_pressure =
-      arbiter_ != nullptr && arbiter_->UnderPressure();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (arbiter_ == nullptr) {
-      cache_pressure = stats_.evictions > 0 &&
-                       partition_bytes_ * 4 >= options_.cache_budget_bytes * 3;
-    }
     double best_cost = static_cast<double>(n) *
                        std::max<uint32_t>(attrs.Count(), 1);  // from scratch
     uint32_t best_level = 0;
@@ -791,25 +772,20 @@ double EntropyEngine::ComputeEntropy(
   // Early on this is roughly descending cardinality (wide columns shatter
   // blocks fastest); once the mass has collapsed, every saturated column
   // splits equally well and the cheapest one — smallest counting-scratch
-  // footprint — goes first. When fusion policy allows (see
-  // EngineOptions::max_fuse_columns) and the remaining columns'
-  // cardinality product fits the fuse budget, they are applied as ONE
-  // composite pass, bit-identical to a chain applied in the same (frozen)
-  // column order; an unfused chain may re-rank mid-way as the mass
-  // shrinks, so the two can differ by fp accumulation noise.
+  // footprint — goes first. The order is re-ranked after every step, as
+  // the mass shrinks.
   std::vector<uint32_t> missing = attrs.Minus(base_set).ToIndices();
 
   uint64_t builds = 0;
   uint64_t refinements = 0;
-  uint64_t fused = 0;
   struct FreshEntry {
     AttrSet set;
     std::shared_ptr<const Partition> partition;
     std::vector<uint32_t> chain;
     uint32_t last_col_card = 0;
-    /// Build-time parent->child correspondence (empty for roots, fused
-    /// passes, and the all-singleton shortcut): makes the entry's FIRST
-    /// epoch catch-up scan-free.
+    /// Build-time parent->child correspondence (empty for roots and the
+    /// all-singleton shortcut): makes the entry's FIRST epoch catch-up
+    /// scan-free.
     PartitionDelta delta;
   };
   std::vector<FreshEntry> fresh;
@@ -850,61 +826,6 @@ double EntropyEngine::ComputeEntropy(
     });
     for (size_t j = 0; j < tail; ++j) missing[i + j] = ranks[j].attr;
 
-    // Fused tail: apply every remaining column in one composite pass when
-    // policy allows and the code space fits the budget. Fusing skips
-    // materializing AND caching the chain's intermediate partitions — the
-    // most-refined, smallest-mass entries, i.e. precisely the best future
-    // bases — so on reuse-heavy workloads (the miner's overlapping term
-    // sets) it loses more downstream than the skipped passes save, and it
-    // only runs when those intermediates would not survive anyway (cache
-    // pressure) or the caller forced it (max_fuse_columns >= 2).
-    const size_t remaining = tail;
-    const uint32_t fuse_limit =
-        options_.max_fuse_columns == 0
-            ? (cache_pressure ? kMaxFuseColumns : 1)
-            : std::min<uint32_t>(options_.max_fuse_columns, kMaxFuseColumns);
-    if (cur != nullptr && remaining >= 2 && remaining <= fuse_limit) {
-      // Column VALUES held locally: ColumnAt returns a by-value view, so
-      // the pointer array the fused kernels take must alias storage that
-      // outlives the pass.
-      Column fused_cols[kMaxFuseColumns];
-      const Column* cols[kMaxFuseColumns];
-      for (size_t j = 0; j < remaining; ++j) {
-        fused_cols[j] = store_.ColumnAt(missing[i + j], pin.rows);
-        cols[j] = &fused_cols[j];
-      }
-      const uint64_t composite_card =
-          FusedCardinality(cols, remaining, FuseBudget(mass));
-      if (composite_card > 0) {
-        refinements += remaining;
-        ++fused;
-        // Intra-op sharding: bit-identical to the serial kernels at any
-        // thread count (engine/refine_kernels.h), so unlike the batch
-        // fan-out this never perturbs seeded reproducibility.
-        const uint32_t rt = RefineThreadsFor(cur->NumStrippedRows());
-        if (!materialize_final) {
-          h = cur->RefinedEntropyAllSharded(
-              cols, remaining, static_cast<uint32_t>(composite_card), n, rt,
-              pool_.get());
-          have_h = true;
-          break;
-        }
-        cur = std::make_shared<Partition>(cur->RefinedByAllSharded(
-            cols, remaining, static_cast<uint32_t>(composite_card), rt,
-            pool_.get()));
-        cur_set = attrs;
-        // A fused pass is bit-identical to the chain in the same column
-        // order, so the recipe records the columns flat.
-        for (size_t j = 0; j < remaining; ++j) {
-          cur_chain.push_back(missing[i + j]);
-        }
-        fresh.push_back({cur_set, cur, cur_chain,
-                         cols[remaining - 1]->cardinality, PartitionDelta{}});
-        i = missing.size();
-        break;
-      }
-    }
-
     const uint32_t a = missing[i];
     const Column col = store_.ColumnAt(a, pin.rows);
     PartitionDelta step_delta;
@@ -912,8 +833,8 @@ double EntropyEngine::ComputeEntropy(
       cur = std::make_shared<Partition>(Partition::OfColumn(col));
       ++builds;
     } else if (!materialize_final && i + 1 == missing.size()) {
-      // Last step: only H is needed, so run the fused counting pass and
-      // skip materializing the final partition. If a later query wants it
+      // Last step: only H is needed, so run the count-only pass and skip
+      // materializing the final partition. If a later query wants it
       // as a base, it refines from the cached prefix at one step's cost.
       h = cur->RefinedEntropySharded(col, n, RefineKernel::kAuto,
                                      RefineThreadsFor(cur->NumStrippedRows()),
@@ -968,11 +889,18 @@ double EntropyEngine::ComputeEntropy(
   }
 
   std::vector<std::pair<AttrSet, size_t>> charged;
+  // Intermediates newly cached for a set whose H is already cached: that
+  // value may come from another chain, whose c ln c terms summed in another
+  // order, so it is re-derived from the partition below (as a prewarm does
+  // for its final set). A cached partition and its set's cached H then
+  // agree bitwise, the bits a cold replay of the chain gives. (Concurrent
+  // misses on one set can still pair them across chains; the values then
+  // agree to fp accumulation order, as EngineOptions::num_threads says.)
+  std::vector<std::pair<AttrSet, std::shared_ptr<const Partition>>> rederive;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.partition_builds += builds;
     stats_.refinements += refinements;
-    stats_.fused_refinements += fused;
     // Cache the value only while the pin is still current: a superseded
     // pin's value would be invisible to every future lookup (they filter
     // by row tag) yet sit in the map until a sweep that may never come.
@@ -984,10 +912,17 @@ double EntropyEngine::ComputeEntropy(
     }
     for (auto& entry : fresh) {
       const AttrSet set = entry.set;
+      std::shared_ptr<const Partition> p = entry.partition;
       const size_t bytes = InsertPartitionLocked(
           set, std::move(entry.partition), std::move(entry.chain),
           entry.last_col_card, pin.rows, std::move(entry.delta));
       if (arbiter_ != nullptr && bytes > 0) charged.emplace_back(set, bytes);
+      if (bytes > 0 && set != attrs) {
+        auto eit = entropies_.find(set);
+        if (eit != entropies_.end() && eit->second.rows == pin.rows) {
+          rederive.emplace_back(set, std::move(p));
+        }
+      }
     }
   }
   if (arbiter_ != nullptr && !charged.empty()) {
@@ -995,6 +930,19 @@ double EntropyEngine::ComputeEntropy(
     // other on the same budget — and its evict callbacks re-take engine
     // mutexes (arbiter -> engine order only).
     arbiter_->Charge(this, charged);
+  }
+  if (!rederive.empty()) {
+    // O(blocks) each, outside mu_.
+    std::vector<double> values;
+    values.reserve(rederive.size());
+    for (const auto& [set, p] : rederive) values.push_back(p->EntropyNats(n));
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t j = 0; j < rederive.size(); ++j) {
+      auto eit = entropies_.find(rederive[j].first);
+      if (eit != entropies_.end() && eit->second.rows == pin.rows) {
+        eit->second.h = values[j];
+      }
+    }
   }
   return h;
 }
@@ -1584,7 +1532,7 @@ Status EntropyEngine::PersistCache() {
       items.push_back(std::move(item));
     }
     // Entropy-only terms (the common case: final chain steps take the
-    // fused counting pass and never materialize) persist as value-only
+    // count-only pass and never materialize) persist as value-only
     // records — 16 bytes of journal each, no blob.
     for (const auto& kv : entropies_) {
       if (kv.second.rows != rows_now) continue;

@@ -11,10 +11,11 @@
 // scratch. Missing columns are applied in order of estimated
 // block-splitting power — the sampled distinct sketch's show-up rate at
 // the current stripped mass (engine/column_store.h) — so the mass
-// collapses as early as possible. When fusion policy allows
-// (EngineOptions::max_fuse_columns) and the remaining columns' cardinality
-// product fits the fuse budget, they are applied as ONE fused composite
-// pass (engine/refine_kernels.h) instead of a refinement chain.
+// collapses as early as possible. A miss is always a chain of
+// single-column refinements (engine/refine_kernels.h): every intermediate
+// partition is cached with its build-time PartitionDelta, where it serves
+// as a base for later misses and extends scan-free at catch-up, and the
+// last step is a count-only pass when only H is wanted.
 //
 // Thread safety: all public methods are safe to call concurrently — WHILE
 // THE RELATION IS BEING APPENDED TO. There is no quiescence rule. Readers
@@ -124,22 +125,6 @@ struct EngineOptions {
   /// a session's engines share one pool and a many-relation sweep stops
   /// oversubscribing cores.
   std::shared_ptr<WorkerPool> worker_pool;
-  /// Most missing columns a cache miss may apply as ONE fused composite
-  /// pass (engine/refine_kernels.h) instead of a refinement chain. Fusing
-  /// skips materializing and caching the chain's intermediate partitions —
-  /// the smallest-mass, most-reusable future bases — so it trades future
-  /// base reuse for present speed. 0 (default) is adaptive: fuse only
-  /// while the partition cache is under eviction pressure, where
-  /// intermediates would be evicted before reuse anyway. 1 disables
-  /// fusion; 2..4 force fusing tails up to that length (the fit for
-  /// one-shot, low-reuse workloads). A fused pass is bit-identical to a
-  /// chain applied in the SAME column order; with 3+ columns the unfused
-  /// engine may re-rank the remaining columns mid-chain as the mass
-  /// shrinks, so toggling fusion can shift values within fp accumulation
-  /// noise (~1e-15 relative) — the same class, and the same rounded-output
-  /// guarantees, as the engine's documented serial-vs-threaded
-  /// nondeterminism. It never changes results beyond that.
-  uint32_t max_fuse_columns = 0;
   /// The shared cache budget to charge cached partitions against
   /// (engine/cache_arbiter.h). nullptr (the default) keeps the engine's
   /// private `cache_budget_bytes` LRU — standalone engines and legacy
@@ -194,19 +179,16 @@ struct EngineStats {
   uint64_t hits = 0;             ///< answered from the entropy cache.
   uint64_t base_reuses = 0;      ///< misses that refined a cached partition.
   uint64_t partition_builds = 0; ///< partitions built from a raw column.
-  uint64_t refinements = 0;      ///< single-column refinement steps applied
-                                 ///< (fused steps count once per column).
-  uint64_t fused_refinements = 0; ///< fused composite passes (each replaces
-                                  ///< 2+ chained refinement steps).
+  uint64_t refinements = 0;      ///< single-column refinement steps applied,
+                                 ///< count-only last steps included.
   uint64_t evictions = 0;        ///< partitions dropped for the budget.
   uint64_t epoch_catchups = 0;   ///< relation-epoch synchronizations.
   uint64_t partitions_extended = 0; ///< cached partitions delta-extended
                                     ///< during catch-up (O(delta + touched
                                     ///< blocks) each).
   uint64_t partitions_replayed = 0; ///< cached partitions rebuilt by chain
-                                    ///< replay instead (missing ancestor,
-                                    ///< fused gap, or kernel-threshold
-                                    ///< fallback).
+                                    ///< replay instead (missing ancestor
+                                    ///< or kernel-threshold fallback).
   uint64_t catchup_dropped = 0;  ///< claimed entries dropped because their
                                  ///< extension failed mid-catch-up; later
                                  ///< reads recompute them cold.
@@ -312,7 +294,7 @@ class EntropyEngine {
   /// Ensures the entropy AND the materialized partition of every given set
   /// are cached, fanning the misses out on the batch pool. Plain Entropy()
   /// skips materializing the final partition of a refinement chain (the
-  /// fused counting pass is cheaper), so a caller about to issue a burst of
+  /// count-only pass is cheaper), so a caller about to issue a burst of
   /// superset queries — the miner's A u C / B u C terms over each separator
   /// C — seeds the shared ancestors here first and every burst member then
   /// resolves in single-step refinements. Empty sets are ignored.
@@ -402,9 +384,8 @@ class EntropyEngine {
     /// sweeps mismatched entries when publishing a new generation.
     uint64_t rows = 0;
     /// The full column-application recipe, from scratch: partition ==
-    /// OfColumn(chain[0]).RefinedBy(chain[1])... (fused steps recorded
-    /// flat — a fused pass is bit-identical to the chain in the same
-    /// order). One entry per attribute of the key.
+    /// OfColumn(chain[0]).RefinedBy(chain[1])... One entry per attribute
+    /// of the key.
     std::vector<uint32_t> chain;
     /// Cardinality of chain.back()'s column when the partition was built;
     /// catch-up falls back from delta extension to a full recompute when
@@ -421,9 +402,9 @@ class EntropyEngine {
   /// mu_. Reads only pin-consistent state: ColumnAt/SketchAt views frozen
   /// at pin.rows and cached entries whose row tag equals pin.rows. When
   /// `materialize_final` is set, the last refinement step builds and caches
-  /// the full partition of `attrs` instead of taking the fused
-  /// entropy-only pass (the PrewarmSubsets path), and `partition_out`
-  /// (when non-null) receives that partition whether or not it was cached.
+  /// the full partition of `attrs` instead of taking the count-only pass
+  /// (the PrewarmSubsets path), and `partition_out` (when non-null)
+  /// receives that partition whether or not it was cached.
   double ComputeEntropy(AttrSet attrs, const EpochPin& pin,
                         bool materialize_final = false,
                         std::shared_ptr<const Partition>* partition_out =

@@ -105,8 +105,8 @@ class Partition {
   Partition RefinedBy(const Column& col, RefineKernel kernel,
                       PartitionDelta* delta_out) const;
 
-  /// H of the refined grouping WITHOUT materializing it: a single fused
-  /// counting pass over the stripped rows. Equivalent to
+  /// H of the refined grouping WITHOUT materializing it: a single
+  /// count-only pass over the stripped rows. Equivalent to
   /// RefinedBy(col).EntropyNats(num_rows) at roughly half the cost — the
   /// right call for the last step of a refinement chain, where only the
   /// entropy (not a reusable partition) is needed.
@@ -116,34 +116,10 @@ class Partition {
   double RefinedEntropy(const Column& col, uint64_t num_rows,
                         RefineKernel kernel) const;
 
-  /// Fused multi-column refinement: identical output (block boundaries,
-  /// block order, row order) to RefinedBy(cols[0]).RefinedBy(cols[1])...,
-  /// in ONE pass over the stripped rows. `composite_card` must be the
-  /// product of the columns' cardinalities (see FusedCardinality), which
-  /// bounds the counting scratch.
-  Partition RefinedByAll(const Column* const* cols, size_t k,
-                         uint32_t composite_card) const;
-
-  /// Count-only form of RefinedByAll: bit-identical to chaining k-1
-  /// RefinedBy steps and one final RefinedEntropy.
-  double RefinedEntropyAll(const Column* const* cols, size_t k,
-                           uint32_t composite_card, uint64_t num_rows) const;
-
-  /// Chain finale: materializes RefinedBy(c1) into *out AND returns
-  /// RefinedBy(c1).RefinedEntropy(c2, num_rows) — both bit-identical to
-  /// the two-step chain — in one fused pass over this partition's rows.
-  /// The last count-only pass of a refinement chain re-gathers almost the
-  /// mass the penultimate step just scanned; here it dissolves into that
-  /// step's tally. `composite_card` must be the two cardinalities'
-  /// product (see FusedCardinality).
-  double RefinedByWithEntropy(const Column& c1, const Column& c2,
-                              uint32_t composite_card, uint64_t num_rows,
-                              Partition* out) const;
-
-  /// Sharded (intra-operation parallel) forms of the five refinement
-  /// entry points above: the view is split into contiguous mass-balanced
-  /// block ranges, each shard runs the unchanged serial kernel on the
-  /// pool, and outputs are concatenated in block order. Results are
+  /// Sharded (intra-operation parallel) forms of the two refinement entry
+  /// points above: the view is split into contiguous mass-balanced block
+  /// ranges, each shard runs the unchanged serial kernel on the pool, and
+  /// outputs are concatenated in block order. Results are
   /// IDENTICAL to the serial methods at any thread count — byte-identical
   /// blocks/rows/delta, bit-identical entropies (refine_kernels.h
   /// documents the left-to-right partial reduction behind the entropy
@@ -156,16 +132,6 @@ class Partition {
   double RefinedEntropySharded(const Column& col, uint64_t num_rows,
                                RefineKernel kernel, uint32_t threads,
                                WorkerPool* pool) const;
-  Partition RefinedByAllSharded(const Column* const* cols, size_t k,
-                                uint32_t composite_card, uint32_t threads,
-                                WorkerPool* pool) const;
-  double RefinedEntropyAllSharded(const Column* const* cols, size_t k,
-                                  uint32_t composite_card, uint64_t num_rows,
-                                  uint32_t threads, WorkerPool* pool) const;
-  double RefinedByWithEntropySharded(const Column& c1, const Column& c2,
-                                     uint32_t composite_card,
-                                     uint64_t num_rows, uint32_t threads,
-                                     WorkerPool* pool, Partition* out) const;
 
   /// H over the empirical distribution whose grouping this partition is,
   /// in nats: ln n - (1/n) sum_blocks c ln c. `num_rows` is |R| (the

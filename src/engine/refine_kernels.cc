@@ -28,20 +28,10 @@ struct RefineScratch {
   std::vector<uint32_t> count;      // code -> multiplicity within the block
   std::vector<uint32_t> offset;     // code -> write cursor (materializing)
   std::vector<uint32_t> touched;    // codes seen in the current block
-  std::vector<uint32_t> first_pos;  // finale: per-group emit-slot flags
-  std::vector<uint32_t> comp;       // fused: composite code per block row
+  std::vector<uint32_t> comp;       // materializing tally: code per block row
   std::vector<uint64_t> pairs;      // sort: (code << 32) | row
   std::vector<uint64_t> pairs_tmp;  // sort: radix ping-pong buffer
-  std::vector<uint32_t> groups;     // sort/fused: flat group/leaf workspace
-  std::vector<uint32_t> leaf_keys;  // fused: (k-1) chain-order keys per leaf
-  // Fused-path per-prefix-level state (FusedTally/ChainOrderLeaves):
-  std::vector<uint32_t> lvl_seq;     // arena: prefix slot -> block rank
-  std::vector<uint32_t> lvl_touched; // arena slots to reset next block
-  // Chain-finale (RefineByColumnWithEntropy) per-c1-group state:
-  std::vector<uint32_t> count1;     // c1 code -> multiplicity within block
-  std::vector<uint32_t> seq1;       // c1 code -> index into touched1
-  std::vector<uint32_t> touched1;   // c1 codes seen, first-occurrence order
-  std::vector<uint32_t> leaf_group; // leaf -> its c1 group's seq, + cursors
+  std::vector<uint32_t> groups;     // sort: flat [start, len] group list
   // Output staging: kernels build the refined partition here (reused
   // across calls, so no per-call allocation or zero-fill) and copy the
   // exact-size result out once at the end — the cached partition then
@@ -79,8 +69,8 @@ double XLogXCount(uint32_t c) {
 namespace {
 
 // Releases pathologically large scratch when the guarded call finishes: a
-// single refinement against a near-key column (or a wide composite) sizes
-// the code-indexed arrays to that cardinality, and without the guard every
+// single refinement against a near-key column sizes the code-indexed arrays
+// to that cardinality, and without the guard every
 // worker thread would pin that allocation for the rest of the process. The
 // sort buffers are sized by the largest block instead and shed by the same
 // spike rule.
@@ -109,18 +99,10 @@ class ScratchGuard {
     // it must not judge — or shed — them.
     if (cardinality_ > 0 && cap > kKeepEntries && cap / 4 > cardinality_) {
       // This call was a spike relative to the steady state; drop the
-      // buffers entirely (the next call re-sizes to what it needs). The
-      // fused level arenas are sized by prefix-cardinality sums bounded by
-      // the same composite cardinality, so they follow the same rule.
+      // buffers entirely (the next call re-sizes to what it needs).
       std::vector<uint32_t>().swap(scratch_->count);
       std::vector<uint32_t>().swap(scratch_->offset);
       std::vector<uint32_t>().swap(scratch_->touched);
-      std::vector<uint32_t>().swap(scratch_->lvl_seq);
-      scratch_->lvl_touched.clear();
-      // The finale's c1-group arrays are bounded by the same composite
-      // cardinality that spiked; shed them with the counters.
-      std::vector<uint32_t>().swap(scratch_->count1);
-      std::vector<uint32_t>().swap(scratch_->seq1);
     }
     const size_t sort_cap = scratch_->pairs.capacity();
     if (sort_cap > kKeepEntries && sort_cap / 4 > scratch_->block_watermark) {
@@ -131,7 +113,6 @@ class ScratchGuard {
     const size_t comp_cap = scratch_->comp.capacity();
     if (comp_cap > kKeepEntries && comp_cap / 4 > scratch_->block_watermark) {
       std::vector<uint32_t>().swap(scratch_->comp);
-      std::vector<uint32_t>().swap(scratch_->leaf_keys);
       std::vector<uint32_t>().swap(scratch_->touched);
     }
     const size_t stage_cap = scratch_->stage_rows.capacity();
@@ -467,152 +448,6 @@ void OrderGroupsByFirstRow(RefineScratch* s, size_t num_groups) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Fused (composite) kernels.
-// ---------------------------------------------------------------------------
-
-// Tallies one block's composite codes (storing them in scratch->comp for a
-// later scatter when `keep_codes`), recording each distinct code in
-// scratch->touched in first-occurrence order. Alongside, every leaf
-// remembers the first-occurrence RANK of each of its nested column
-// prefixes within this block (leaf_keys, k-1 ranks per leaf; rank arenas
-// in lvl_seq with per-level offsets, reset lazily via lvl_touched), and
-// lvl_ng[l] counts the distinct level-(l+1) prefixes seen. Those ranks
-// are everything ChainOrderLeaves needs. Returns the touched count.
-//
-// The caller must size s->count (ScratchGuard over the composite
-// cardinality) and reset the touched counts afterwards; the level arenas
-// reset themselves at the next call.
-size_t FusedTally(const uint32_t* begin, const uint32_t* end,
-                  const Column* const* cols, size_t k, bool keep_codes,
-                  RefineScratch* s, uint32_t* lvl_ng) {
-  const size_t m = static_cast<size_t>(end - begin);
-  if (m > s->block_watermark) s->block_watermark = m;
-  s->touched.clear();
-  if (keep_codes && s->comp.size() < m) s->comp.resize(m);
-  // Per-level rank arenas: level l (prefix of the first l+1 columns) gets
-  // a slab of prefix-cardinality slots; the slabs sum to less than the
-  // composite cardinality, so the same guard budget covers them.
-  const size_t levels = k - 1;
-  uint64_t lvl_off[kMaxAttrs];
-  uint64_t arena = 0;
-  {
-    uint64_t prefix_card = 1;
-    for (size_t l = 0; l < levels; ++l) {
-      prefix_card *= cols[l]->cardinality;
-      lvl_off[l] = arena;
-      arena += prefix_card;
-    }
-  }
-  if (s->lvl_seq.size() < arena) s->lvl_seq.resize(arena, UINT32_MAX);
-  // Reset the PREVIOUS block's slots (cheap: one write per touched prefix).
-  for (uint32_t slot : s->lvl_touched) s->lvl_seq[slot] = UINT32_MAX;
-  s->lvl_touched.clear();
-  for (size_t l = 0; l < levels; ++l) lvl_ng[l] = 0;
-  if (s->leaf_keys.size() < m * levels) s->leaf_keys.resize(m * levels);
-  uint32_t* count = s->count.data();
-  uint32_t* lvl_seq = s->lvl_seq.data();
-  uint32_t* keys = s->leaf_keys.data();
-
-  // The common miner shape (k == 2, one prefix level) gets a dedicated
-  // loop; the generic one costs a branch per column per row.
-  if (k == 2) {
-    const uint32_t* codes0 = cols[0]->codes.data();
-    const uint32_t* codes1 = cols[1]->codes.data();
-    const uint32_t card1 = cols[1]->cardinality;
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t r = begin[i];
-      const uint32_t a = codes0[r];
-      const uint32_t c = a * card1 + codes1[r];
-      if (keep_codes) s->comp[i] = c;
-      uint32_t rank = lvl_seq[a];
-      if (rank == UINT32_MAX) {
-        rank = lvl_ng[0]++;
-        lvl_seq[a] = rank;
-        s->lvl_touched.push_back(a);
-      }
-      if (count[c]++ == 0) {
-        keys[s->touched.size()] = rank;
-        s->touched.push_back(c);
-      }
-    }
-  } else {
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t r = begin[i];
-      uint64_t pref = 0;
-      uint32_t ranks[kMaxAttrs];
-      for (size_t l = 0; l < levels; ++l) {
-        pref = pref * cols[l]->cardinality + cols[l]->codes[r];
-        const uint32_t slot = static_cast<uint32_t>(lvl_off[l] + pref);
-        uint32_t rank = lvl_seq[slot];
-        if (rank == UINT32_MAX) {
-          rank = lvl_ng[l]++;
-          lvl_seq[slot] = rank;
-          s->lvl_touched.push_back(slot);
-        }
-        ranks[l] = rank;
-      }
-      const uint32_t c = static_cast<uint32_t>(
-          pref * cols[k - 1]->cardinality + cols[k - 1]->codes[r]);
-      if (keep_codes) s->comp[i] = c;
-      if (count[c]++ == 0) {
-        for (size_t l = 0; l < levels; ++l) {
-          keys[s->touched.size() * levels + l] = ranks[l];
-        }
-        s->touched.push_back(c);
-      }
-    }
-  }
-  return s->touched.size();
-}
-
-// Orders the block's touched composite codes exactly as the k-step
-// RefinedBy chain would emit the corresponding sub-blocks, leaving the
-// permutation (indexes into touched) in scratch->groups.
-//
-// Why this works: within one input block, the chain emits leaves sorted
-// lexicographically by the first-occurrence positions of their nested
-// prefix groups — level l compares by the earliest block-scan position at
-// which the leaf's first l columns' value combination appears. (A chained
-// refinement splits a block in first-occurrence order of the new column,
-// and a sub-block's scan order is a subsequence of its parent's, so "first
-// occurrence within the sub-block" and "first occurrence within the
-// original block" order prefix groups identically.) FusedTally already
-// recorded each prefix's first-occurrence RANK — order-isomorphic to its
-// position — so the sort is k-1 stable counting passes, least-significant
-// level first, seeded by the touched list itself (leaf first-occurrence
-// order). No comparisons anywhere.
-void ChainOrderLeaves(size_t k, size_t t, const uint32_t* lvl_ng,
-                      RefineScratch* s) {
-  if (s->groups.size() < t) s->groups.resize(t);
-  uint32_t* a = s->groups.data();
-  for (size_t i = 0; i < t; ++i) a[i] = static_cast<uint32_t>(i);
-  if (k < 2 || t < 2) return;
-  const size_t levels = k - 1;
-  if (s->leaf_group.size() < t) s->leaf_group.resize(t);
-  uint32_t* b = s->leaf_group.data();
-  const uint32_t* keys = s->leaf_keys.data();
-  for (size_t l = levels; l-- > 0;) {
-    const uint32_t ng = lvl_ng[l];
-    s->touched1.assign(ng + 1, 0);
-    uint32_t* hist = s->touched1.data();
-    for (size_t i = 0; i < t; ++i) ++hist[keys[a[i] * levels + l]];
-    uint32_t sum = 0;
-    for (uint32_t d = 0; d < ng; ++d) {
-      const uint32_t c = hist[d];
-      hist[d] = sum;
-      sum += c;
-    }
-    for (size_t i = 0; i < t; ++i) {
-      b[hist[keys[a[i] * levels + l]]++] = a[i];
-    }
-    std::swap(a, b);
-  }
-  if (a != s->groups.data()) {
-    std::memcpy(s->groups.data(), a, t * sizeof(uint32_t));
-  }
-}
-
 }  // namespace
 
 RefineKernel ChooseRefineKernel(uint32_t cardinality,
@@ -641,16 +476,6 @@ bool SimdTallyEnabled() {
 #else
   return false;
 #endif
-}
-
-uint64_t FusedCardinality(const Column* const* cols, size_t k,
-                          uint64_t budget) {
-  uint64_t product = 1;
-  for (size_t j = 0; j < k; ++j) {
-    product *= cols[j]->cardinality;
-    if (cols[j]->cardinality == 0 || product > budget) return 0;
-  }
-  return product;
 }
 
 void RefineByColumn(const PartitionView& in, const Column& col,
@@ -896,251 +721,6 @@ double RefineEntropy(const PartitionView& in, const Column& col,
   }
   double sum_clogc = 0.0;
   RefineEntropyScan(in, col, kernel, [&](double v) { sum_clogc += v; });
-  const double n = static_cast<double>(num_rows);
-  return std::log(n) - sum_clogc / n;
-}
-
-void RefineByComposite(const PartitionView& in, const Column* const* cols,
-                       size_t k, uint32_t composite_card,
-                       const PartitionBuild& out) {
-  AJD_CHECK(k >= 2 && composite_card > 0);
-  out.rows->clear();
-  out.starts->clear();
-  if (in.num_runs == 0) return;
-  RefineScratch& scratch = LocalScratch();
-  ScratchGuard guard(&scratch, composite_card);
-  out.rows->reserve(in.mass);
-  out.starts->push_back(0);
-  uint32_t lvl_ng[kMaxAttrs];
-  for (uint32_t r = 0; r < in.num_runs; ++r) {
-    const PartitionRun& run = in.runs[r];
-    for (uint32_t b = 0; b < run.num_blocks; ++b) {
-      const uint32_t* begin = run.rows + run.starts[b];
-      const uint32_t* end = run.rows + run.starts[b + 1];
-      const size_t t = FusedTally(begin, end, cols, k, /*keep_codes=*/true,
-                                  &scratch, lvl_ng);
-      ChainOrderLeaves(k, t, lvl_ng, &scratch);
-      const uint32_t base = static_cast<uint32_t>(out.rows->size());
-      uint32_t pos = 0;
-      for (size_t j = 0; j < t; ++j) {
-        const uint32_t c = scratch.touched[scratch.groups[j]];
-        if (scratch.count[c] >= 2) {
-          scratch.offset[c] = base + pos;
-          pos += scratch.count[c];
-          out.starts->push_back(base + pos);
-        } else {
-          scratch.offset[c] = UINT32_MAX;
-        }
-      }
-      out.rows->resize(base + pos);
-      const size_t m = static_cast<size_t>(end - begin);
-      for (size_t i = 0; i < m; ++i) {
-        const uint32_t c = scratch.comp[i];
-        if (scratch.offset[c] != UINT32_MAX) {
-          (*out.rows)[scratch.offset[c]++] = begin[i];
-        }
-        scratch.count[c] = 0;
-      }
-    }
-  }
-  if (out.starts->size() == 1) out.starts->clear();
-}
-
-namespace {
-
-// RefineCompositeEntropy's body, parameterized on the accumulator exactly
-// like RefineEntropyScan (one emitted partial per leaf, in chain order).
-template <typename Emit>
-void RefineCompositeEntropyScan(const PartitionView& in,
-                                const Column* const* cols, size_t k,
-                                uint32_t composite_card, Emit&& emit) {
-  RefineScratch& scratch = LocalScratch();
-  ScratchGuard guard(&scratch, composite_card);
-  uint32_t lvl_ng[kMaxAttrs];
-  for (uint32_t r = 0; r < in.num_runs; ++r) {
-    const PartitionRun& run = in.runs[r];
-    for (uint32_t b = 0; b < run.num_blocks; ++b) {
-      const uint32_t* begin = run.rows + run.starts[b];
-      const uint32_t* end = run.rows + run.starts[b + 1];
-      const size_t t = FusedTally(begin, end, cols, k, /*keep_codes=*/false,
-                                  &scratch, lvl_ng);
-      // The chain's final count-only pass visits leaves in chain order;
-      // summing in that order keeps the accumulation bit-identical to it.
-      ChainOrderLeaves(k, t, lvl_ng, &scratch);
-      for (size_t j = 0; j < t; ++j) {
-        const uint32_t c = scratch.touched[scratch.groups[j]];
-        emit(XLogXCount(scratch.count[c]));
-        scratch.count[c] = 0;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-double RefineCompositeEntropy(const PartitionView& in,
-                              const Column* const* cols, size_t k,
-                              uint32_t composite_card, uint64_t num_rows) {
-  AJD_CHECK(k >= 2 && composite_card > 0);
-  double sum_clogc = 0.0;
-  RefineCompositeEntropyScan(in, cols, k, composite_card,
-                             [&](double v) { sum_clogc += v; });
-  const double n = static_cast<double>(num_rows);
-  return std::log(n) - sum_clogc / n;
-}
-
-namespace {
-
-// RefineByColumnWithEntropy's body, parameterized on the entropy
-// accumulator (one emitted partial per leaf of the final c2 split, in
-// chain order). Builds the c1 refinement into `out` either way.
-template <typename Emit>
-void RefineByColumnWithEntropyScan(const PartitionView& in, const Column& c1,
-                                   const Column& c2, uint32_t composite_card,
-                                   const PartitionBuild& out, Emit&& emit) {
-  out.rows->clear();
-  out.starts->clear();
-  if (in.num_runs > 0) {
-    RefineScratch& scratch = LocalScratch();
-    ScratchGuard guard(&scratch, composite_card);
-    if (scratch.count1.size() < c1.cardinality) {
-      scratch.count1.resize(c1.cardinality, 0);
-      scratch.seq1.resize(c1.cardinality);
-    }
-    const uint32_t* codes1 = c1.codes.data();
-    const uint32_t* codes2 = c2.codes.data();
-    const uint32_t card2 = c2.cardinality;
-    uint32_t* count = scratch.count.data();
-    uint32_t* count1 = scratch.count1.data();
-    uint32_t* seq1 = scratch.seq1.data();
-    out.rows->resize(in.mass);
-    uint32_t* out_rows = out.rows->data();
-    uint32_t total = 0;
-    out.starts->push_back(0);
-    for (uint32_t r = 0; r < in.num_runs; ++r) {
-      const PartitionRun& run = in.runs[r];
-      for (uint32_t b = 0; b < run.num_blocks; ++b) {
-        const uint32_t* begin = run.rows + run.starts[b];
-        const uint32_t* end = run.rows + run.starts[b + 1];
-        const size_t m = static_cast<size_t>(end - begin);
-        if (m > scratch.block_watermark) scratch.block_watermark = m;
-        if (scratch.comp.size() < m) scratch.comp.resize(m);
-        uint32_t* comp1 = scratch.comp.data();  // c1 code per block row
-        // Tally composite (c1, c2) pairs and c1 groups in one scan. Every
-        // leaf (distinct pair) remembers which c1 group it belongs to;
-        // groups and leaves are both recorded in first-occurrence order.
-        scratch.touched.clear();    // leaf -> composite code
-        scratch.leaf_group.clear(); // leaf -> c1 group sequence number
-        scratch.touched1.clear();   // group -> c1 code
-        for (size_t i = 0; i < m; ++i) {
-          const uint32_t r = begin[i];
-          const uint32_t a = codes1[r];
-          const uint32_t code = a * card2 + codes2[r];
-          comp1[i] = a;
-          if (count1[a]++ == 0) {
-            seq1[a] = static_cast<uint32_t>(scratch.touched1.size());
-            scratch.touched1.push_back(a);
-          }
-          if (count[code]++ == 0) {
-            scratch.touched.push_back(code);
-            scratch.leaf_group.push_back(seq1[a]);
-          }
-        }
-        const size_t t = scratch.touched.size();
-        const size_t g = scratch.touched1.size();
-        // Emit the c1 sub-blocks in group order (identical to RefinedBy(c1))
-        // and accumulate the final c2 split's c ln c terms in chain order:
-        // group by group, and within a group in leaf first-occurrence order
-        // — exactly the order the chain's last count-only pass visits them.
-        // A c1-singleton group is stripped before the chain would refine it
-        // by c2; its lone leaf contributes an exact 0, so skipping it keeps
-        // the accumulation bit-identical. Within-group leaf order is
-        // recovered stably by a counting pass over the leaves (first_pos
-        // reused as per-group cursors).
-        if (scratch.first_pos.size() < g) scratch.first_pos.resize(g);
-        uint32_t* cursor = scratch.first_pos.data();
-        const uint32_t base = total;
-        uint32_t pos = 0;
-        for (size_t s = 0; s < g; ++s) {
-          const uint32_t a = scratch.touched1[s];
-          cursor[s] = UINT32_MAX;  // becomes the group's emit slot below
-          if (count1[a] >= 2) {
-            scratch.offset[a] = base + pos;
-            pos += count1[a];
-            out.starts->push_back(base + pos);
-            cursor[s] = 0;
-          } else {
-            scratch.offset[a] = UINT32_MAX;
-          }
-          count1[a] = 0;
-        }
-        total = base + pos;
-        // Chain-order entropy: leaves sit in GLOBAL first-occurrence order,
-        // but the chain's last pass visits them group by group (groups in
-        // first-occurrence order, leaves within a group in first-occurrence
-        // order). A stable counting regroup recovers that order in O(t + g):
-        // count leaves per group, prefix-sum, place.
-        if (g == 1) {
-          // One c1 group: global leaf order IS chain order.
-          if (cursor[0] != UINT32_MAX) {
-            for (size_t l = 0; l < t; ++l) {
-              emit(XLogXCount(count[scratch.touched[l]]));
-            }
-          }
-          for (size_t l = 0; l < t; ++l) count[scratch.touched[l]] = 0;
-        } else {
-          scratch.groups.assign(g + 1, 0);
-          for (size_t l = 0; l < t; ++l) ++scratch.groups[scratch.leaf_group[l]];
-          uint32_t run = 0;
-          for (size_t s = 0; s < g; ++s) {
-            const uint32_t len = scratch.groups[s];
-            scratch.groups[s] = run;
-            run += len;
-          }
-          if (scratch.leaf_keys.size() < t) scratch.leaf_keys.resize(t);
-          uint32_t* ordered = scratch.leaf_keys.data();
-          for (size_t l = 0; l < t; ++l) {
-            ordered[scratch.groups[scratch.leaf_group[l]]++] = static_cast<uint32_t>(l);
-          }
-          // groups[s] now holds each group's END slot; walk groups in order,
-          // skipping stripped (singleton) ones — their lone leaf's XLogX(1)
-          // is an exact 0, so the sum stays bit-identical to the chain.
-          uint32_t start = 0;
-          for (size_t s = 0; s < g; ++s) {
-            const uint32_t stop = scratch.groups[s];
-            if (cursor[s] != UINT32_MAX) {
-              for (uint32_t idx = start; idx < stop; ++idx) {
-                emit(XLogXCount(count[scratch.touched[ordered[idx]]]));
-              }
-            }
-            start = stop;
-          }
-          for (size_t l = 0; l < t; ++l) count[scratch.touched[l]] = 0;
-        }
-        // Scatter rows into their c1 sub-blocks (scan order = ascending).
-        for (size_t i = 0; i < m; ++i) {
-          const uint32_t a = comp1[i];
-          if (scratch.offset[a] != UINT32_MAX) {
-            out_rows[scratch.offset[a]++] = begin[i];
-          }
-        }
-      }
-    }
-    out.rows->resize(total);
-    if (out.starts->size() == 1) out.starts->clear();
-  }
-}
-
-}  // namespace
-
-double RefineByColumnWithEntropy(const PartitionView& in, const Column& c1,
-                                 const Column& c2, uint32_t composite_card,
-                                 uint64_t num_rows,
-                                 const PartitionBuild& out) {
-  AJD_CHECK(composite_card > 0);
-  double sum_clogc = 0.0;
-  RefineByColumnWithEntropyScan(in, c1, c2, composite_card, out,
-                                [&](double v) { sum_clogc += v; });
   const double n = static_cast<double>(num_rows);
   return std::log(n) - sum_clogc / n;
 }
@@ -1401,87 +981,6 @@ double RefineEntropySharded(const PartitionView& in, const Column& col,
   return ReduceEntropyPartials(parts, num_rows);
 }
 
-void RefineByCompositeSharded(const PartitionView& in,
-                              const Column* const* cols, size_t k,
-                              uint32_t composite_card, uint32_t threads,
-                              WorkerPool* pool, const PartitionBuild& out) {
-  AJD_CHECK(k >= 2 && composite_card > 0);
-  const uint32_t want = PlanShardCount(in.mass, threads);
-  if (want <= 1 || pool == nullptr) {
-    RefineByComposite(in, cols, k, composite_card, out);
-    return;
-  }
-  std::vector<PartitionRun> runs;
-  std::vector<PartitionView> shards;
-  const uint32_t ns = SplitViewForRefine(in, want, &runs, &shards);
-  if (ns <= 1) {
-    RefineByComposite(in, cols, k, composite_card, out);
-    return;
-  }
-  std::vector<ShardOut> parts(ns);
-  pool->Run(ns, ns, [&](size_t i) {
-    RefineByComposite(shards[i], cols, k, composite_card,
-                      PartitionBuild{&parts[i].rows, &parts[i].starts});
-  });
-  ConcatShardOutputs(parts, out, /*delta_out=*/nullptr);
-}
-
-double RefineCompositeEntropySharded(const PartitionView& in,
-                                     const Column* const* cols, size_t k,
-                                     uint32_t composite_card,
-                                     uint64_t num_rows, uint32_t threads,
-                                     WorkerPool* pool) {
-  AJD_CHECK(k >= 2 && composite_card > 0);
-  const uint32_t want = PlanShardCount(in.mass, threads);
-  if (want <= 1 || pool == nullptr) {
-    return RefineCompositeEntropy(in, cols, k, composite_card, num_rows);
-  }
-  std::vector<PartitionRun> runs;
-  std::vector<PartitionView> shards;
-  const uint32_t ns = SplitViewForRefine(in, want, &runs, &shards);
-  if (ns <= 1) {
-    return RefineCompositeEntropy(in, cols, k, composite_card, num_rows);
-  }
-  std::vector<ShardOut> parts(ns);
-  pool->Run(ns, ns, [&](size_t i) {
-    std::vector<double>& partials = parts[i].partials;
-    RefineCompositeEntropyScan(shards[i], cols, k, composite_card,
-                               [&partials](double v) { partials.push_back(v); });
-  });
-  return ReduceEntropyPartials(parts, num_rows);
-}
-
-double RefineByColumnWithEntropySharded(const PartitionView& in,
-                                        const Column& c1, const Column& c2,
-                                        uint32_t composite_card,
-                                        uint64_t num_rows, uint32_t threads,
-                                        WorkerPool* pool,
-                                        const PartitionBuild& out) {
-  AJD_CHECK(composite_card > 0);
-  const uint32_t want = PlanShardCount(in.mass, threads);
-  if (want <= 1 || pool == nullptr) {
-    return RefineByColumnWithEntropy(in, c1, c2, composite_card, num_rows,
-                                     out);
-  }
-  std::vector<PartitionRun> runs;
-  std::vector<PartitionView> shards;
-  const uint32_t ns = SplitViewForRefine(in, want, &runs, &shards);
-  if (ns <= 1) {
-    return RefineByColumnWithEntropy(in, c1, c2, composite_card, num_rows,
-                                     out);
-  }
-  std::vector<ShardOut> parts(ns);
-  pool->Run(ns, ns, [&](size_t i) {
-    std::vector<double>& partials = parts[i].partials;
-    RefineByColumnWithEntropyScan(
-        shards[i], c1, c2, composite_card,
-        PartitionBuild{&parts[i].rows, &parts[i].starts},
-        [&partials](double v) { partials.push_back(v); });
-  });
-  ConcatShardOutputs(parts, out, /*delta_out=*/nullptr);
-  return ReduceEntropyPartials(parts, num_rows);
-}
-
 size_t ShedOversizedRefineScratch() {
   RefineScratch& s = LocalScratch();
   // Same keep threshold as ScratchGuard: steady-state capacity stays, only
@@ -1494,20 +993,16 @@ size_t ShedOversizedRefineScratch() {
       std::vector<uint32_t>().swap(v);
     }
   };
-  // Buffers that are resized as a pair under a size check on the FIRST
-  // member (count/offset, count1/seq1, pairs/pairs_tmp) must shed as a
-  // pair too: dropping only the second would leave it undersized behind a
-  // check that no longer fires.
-  const auto shed_pair32 = [&freed, kKeepEntries](std::vector<uint32_t>& a,
-                                                  std::vector<uint32_t>& b) {
-    if (a.capacity() > kKeepEntries || b.capacity() > kKeepEntries) {
-      freed += (a.capacity() + b.capacity()) * sizeof(uint32_t);
-      std::vector<uint32_t>().swap(a);
-      std::vector<uint32_t>().swap(b);
-    }
-  };
-  shed_pair32(s.count, s.offset);
-  shed_pair32(s.count1, s.seq1);
+  // count/offset and pairs/pairs_tmp are resized as pairs under a size
+  // check on the FIRST member, so they must shed as pairs too: dropping only
+  // the second would leave it undersized behind a check that no longer
+  // fires.
+  if (s.count.capacity() > kKeepEntries ||
+      s.offset.capacity() > kKeepEntries) {
+    freed += (s.count.capacity() + s.offset.capacity()) * sizeof(uint32_t);
+    std::vector<uint32_t>().swap(s.count);
+    std::vector<uint32_t>().swap(s.offset);
+  }
   if (s.pairs.capacity() > kKeepEntries ||
       s.pairs_tmp.capacity() > kKeepEntries) {
     freed += (s.pairs.capacity() + s.pairs_tmp.capacity()) * sizeof(uint64_t);
@@ -1515,24 +1010,8 @@ size_t ShedOversizedRefineScratch() {
     std::vector<uint64_t>().swap(s.pairs_tmp);
   }
   shed32(s.touched);
-  shed32(s.first_pos);
   shed32(s.comp);
   shed32(s.groups);
-  shed32(s.leaf_keys);
-  // FusedTally resets the previous block's lvl_seq slots lazily via
-  // lvl_touched, so the two buffers are a unit: a dirty arena is only safe
-  // while its pending reset list survives, and a reset list is only valid
-  // against the arena it indexes. ScratchGuard's spike shed can leave them
-  // in a split state (arena swapped away, reset list merely clear()ed but
-  // still holding its capacity), so judging either buffer's capacity alone
-  // could drop the pending resets while KEEPING the dirty arena — the next
-  // fused call would then read stale ranks. Shed them as a pair: dropping
-  // lvl_seq makes the dropped resets moot (a fresh resize re-fills
-  // UINT32_MAX), and dropping lvl_touched is safe only because the arena
-  // it indexed goes with it.
-  shed_pair32(s.lvl_seq, s.lvl_touched);
-  shed32(s.touched1);
-  shed32(s.leaf_group);
   shed32(s.stage_rows);
   shed32(s.stage_starts);
   return freed;
@@ -1550,18 +1029,10 @@ size_t RefineScratchBytes() {
   add32(s.count);
   add32(s.offset);
   add32(s.touched);
-  add32(s.first_pos);
   add32(s.comp);
   add64(s.pairs);
   add64(s.pairs_tmp);
   add32(s.groups);
-  add32(s.leaf_keys);
-  add32(s.lvl_seq);
-  add32(s.lvl_touched);
-  add32(s.count1);
-  add32(s.seq1);
-  add32(s.touched1);
-  add32(s.leaf_group);
   add32(s.stage_rows);
   add32(s.stage_starts);
   return bytes;

@@ -19,12 +19,10 @@
 // (the library-wide invariant — every Partition factory scans rows in
 // ascending order, so block members are always sorted).
 //
-// The fused kernels apply k columns in ONE pass by compositing their codes
-// (code = ((c1*card2)+c2)*card3+c3...) and then emitting sub-blocks in
-// exactly the order a k-step RefinedBy chain would have produced — see
-// refine_kernels.cc for the ordering proof sketch. Fusing is the engine's
-// common miss shape (2-3 attributes missing from the best cached base) and
-// replaces k count+scatter passes with one.
+// Every kernel applies ONE column. A multi-column set is reached by a chain
+// of single-column refinements (engine/entropy_engine.h orders the columns
+// and caches every intermediate, each with its build-time PartitionDelta),
+// ending in the count-only RefineEntropy pass when only H is needed.
 //
 // An optional SIMD tally (AVX2 on x86-64, NEON on arm; scalar fallback)
 // accelerates the count-only entropy passes. It is compile-time guarded —
@@ -102,22 +100,6 @@ bool SimdTallyEnabled();
 /// libm log call would outweigh the whole tally.
 double XLogXCount(uint32_t c);
 
-/// Fused-refinement budget: compositing k columns needs scratch sized by
-/// the product of their cardinalities, so the product must stay close to
-/// the stripped mass it will be scanned against.
-inline constexpr uint64_t kFuseBudgetFloor = uint64_t{1} << 16;
-inline constexpr uint64_t kFuseBudgetCap = uint64_t{1} << 22;
-inline uint64_t FuseBudget(uint64_t stripped_rows) {
-  const uint64_t by_mass = 4 * stripped_rows;
-  const uint64_t budget = by_mass > kFuseBudgetFloor ? by_mass
-                                                     : kFuseBudgetFloor;
-  return budget < kFuseBudgetCap ? budget : kFuseBudgetCap;
-}
-
-/// Product of the columns' cardinalities if it fits `budget`, else 0.
-uint64_t FusedCardinality(const Column* const* cols, size_t k,
-                          uint64_t budget);
-
 /// One maximal contiguous run of a stripped partition's storage: blocks
 /// whose rows sit back to back in memory with no slack between them. A
 /// flat partition is a single run over its whole row array; a chunked
@@ -189,38 +171,6 @@ void RefineByColumn(const PartitionView& in, const Column& col,
 double RefineEntropy(const PartitionView& in, const Column& col,
                      RefineKernel kernel, uint64_t num_rows);
 
-/// Fused k-column refinement: identical output (block boundaries, block
-/// order, row order) to chaining RefineByColumn over cols[0..k-1] in that
-/// order. `composite_card` must be the FusedCardinality product (> 0).
-void RefineByComposite(const PartitionView& in, const Column* const* cols,
-                       size_t k, uint32_t composite_card,
-                       const PartitionBuild& out);
-
-/// Fused count-only variant of RefineByComposite: bit-identical to chaining
-/// k-1 RefineByColumn steps and one final RefineEntropy.
-double RefineCompositeEntropy(const PartitionView& in,
-                              const Column* const* cols, size_t k,
-                              uint32_t composite_card, uint64_t num_rows);
-
-/// The chain-finale kernel: materializes the refinement of `in` by `c1`
-/// into `out` AND returns the entropy of refining that result by `c2` —
-/// in ONE composite pass, with both outputs bit-identical to
-/// RefineByColumn(in, c1) followed by RefineEntropy(<result>, c2). The
-/// intermediate partition is still produced (and cacheable — no
-/// base-reuse ecology is lost, unlike RefineCompositeEntropy); the
-/// chain's separate count-only pass dissolves into the tally that was
-/// already scanning the rows. When BOTH outputs are wanted this beats the
-/// two-step chain on the perf_partition sweep (16 vs 24 ns/row at 1M
-/// rows); the EntropyEngine nevertheless keeps the two-step chain on its
-/// default path, because there the two thin passes measured faster than
-/// one fat pass on a 1-core host — re-evaluate on wider machines before
-/// wiring it in. `composite_card` must be c1.cardinality * c2.cardinality
-/// (see FusedCardinality).
-double RefineByColumnWithEntropy(const PartitionView& in, const Column& c1,
-                                 const Column& c2, uint32_t composite_card,
-                                 uint64_t num_rows,
-                                 const PartitionBuild& out);
-
 /// Sort-path construction of a column's partition (blocks in ascending code
 /// order, identical to the counting construction in Partition::OfColumn)
 /// with scratch sized by the row count, not the cardinality. Used for
@@ -280,28 +230,6 @@ void RefineByColumnSharded(const PartitionView& in, const Column& col,
 double RefineEntropySharded(const PartitionView& in, const Column& col,
                             RefineKernel kernel, uint64_t num_rows,
                             uint32_t threads, WorkerPool* pool);
-
-/// Sharded RefineByComposite: byte-identical output at any thread count.
-void RefineByCompositeSharded(const PartitionView& in,
-                              const Column* const* cols, size_t k,
-                              uint32_t composite_card, uint32_t threads,
-                              WorkerPool* pool, const PartitionBuild& out);
-
-/// Sharded RefineCompositeEntropy: bit-identical value at any thread count.
-double RefineCompositeEntropySharded(const PartitionView& in,
-                                     const Column* const* cols, size_t k,
-                                     uint32_t composite_card,
-                                     uint64_t num_rows, uint32_t threads,
-                                     WorkerPool* pool);
-
-/// Sharded RefineByColumnWithEntropy: byte-identical partition AND
-/// bit-identical entropy at any thread count.
-double RefineByColumnWithEntropySharded(const PartitionView& in,
-                                        const Column& c1, const Column& c2,
-                                        uint32_t composite_card,
-                                        uint64_t num_rows, uint32_t threads,
-                                        WorkerPool* pool,
-                                        const PartitionBuild& out);
 
 /// Frees this thread's kernel scratch buffers whose capacity exceeds the
 /// ScratchGuard keep threshold (64Ki entries), returning the bytes freed.

@@ -206,6 +206,39 @@ TEST(EntropyEngine, PartitionBudgetEvicts) {
   }
 }
 
+TEST(EntropyEngine, ColdMissBuildsOnceAndRefinesOneColumnPerStep) {
+  // A miss over k attributes with nothing cached builds one column's
+  // partition and applies k - 1 single-column steps; the chain's
+  // intermediate partitions are cached, so a superset miss refines from
+  // the deepest of them by exactly the columns it lacks.
+  Rng rng(925);
+  Relation r = RandomMultisetRelation(&rng, 5, 3, 300);
+  EntropyEngine engine(&r);
+  const AttrSet four{0, 1, 2, 3};
+  EXPECT_NEAR(engine.Entropy(four), EntropyOf(r, four), 1e-9);
+  EXPECT_EQ(engine.Stats().partition_builds, 1u);
+  EXPECT_EQ(engine.Stats().refinements, 3u);
+  EXPECT_EQ(engine.Stats().base_reuses, 0u);
+  // Every cached entry records a chain of one column per attribute.
+  for (uint32_t m = 1; m < 32; ++m) {
+    const AttrSet s = AttrSet::FromMask(m);
+    std::vector<uint32_t> chain;
+    std::shared_ptr<const Partition> p;
+    if (!engine.CachedPartitionInfo(s, &chain, &p)) continue;
+    ASSERT_EQ(chain.size(), s.Count()) << s.ToString();
+    EXPECT_EQ(AttrSet::FromIndices(chain), s) << s.ToString();
+  }
+  // The count-only last step leaves the full set uncached; its prefixes
+  // (one set each of sizes 1, 2 and 3) are.
+  EXPECT_EQ(engine.PartitionCacheSize(), 3u);
+
+  const AttrSet all{0, 1, 2, 3, 4};
+  EXPECT_NEAR(engine.Entropy(all), EntropyOf(r, all), 1e-9);
+  EXPECT_EQ(engine.Stats().partition_builds, 1u);
+  EXPECT_EQ(engine.Stats().base_reuses, 1u);
+  EXPECT_EQ(engine.Stats().refinements, 5u);
+}
+
 TEST(AnalysisSession, MinerAndAnalysisShareOneEngine) {
   Rng rng(906);
   Relation r = testing_util::RandomTestRelation(&rng, 5, 3, 120);
@@ -277,7 +310,7 @@ TEST(EntropyEngine, PrewarmSubsetsSeedsPartitionsAndPreservesValues) {
   Relation r = testing_util::RandomTestRelation(&rng, 5, 4, 120);
   EntropyEngine engine(&r);
   // Prewarm materializes the full partition of each set (plain Entropy
-  // would take the fused entropy-only pass on the last step), and ignores
+  // would take the count-only pass on the last step), and ignores
   // empty sets and duplicates.
   std::vector<AttrSet> seeds = {AttrSet{0}, AttrSet{0, 1}, AttrSet{0, 1},
                                 AttrSet()};
@@ -297,17 +330,17 @@ TEST(EntropyEngine, PrewarmSubsetsSeedsPartitionsAndPreservesValues) {
 
 TEST(EntropyEngine, PrewarmedEntropyValueIsUnchanged) {
   // Prewarming after a value is cached must not overwrite it, and
-  // prewarming before must yield the same number the fused path would
-  // report (to fp accumulation order).
+  // prewarming before must yield the same number the count-only path
+  // would report (to fp accumulation order).
   Rng rng(912);
   Relation r = RandomMultisetRelation(&rng, 4, 3, 200);
   EntropyEngine cold(&r);
-  double fused = cold.Entropy(AttrSet{0, 1, 2});
+  double count_only = cold.Entropy(AttrSet{0, 1, 2});
   EntropyEngine warmed(&r);
   warmed.PrewarmSubsets({AttrSet{0, 1, 2}});
-  EXPECT_NEAR(warmed.Entropy(AttrSet{0, 1, 2}), fused, 1e-9);
+  EXPECT_NEAR(warmed.Entropy(AttrSet{0, 1, 2}), count_only, 1e-9);
   cold.PrewarmSubsets({AttrSet{0, 1, 2}});
-  EXPECT_EQ(cold.Entropy(AttrSet{0, 1, 2}), fused);
+  EXPECT_EQ(cold.Entropy(AttrSet{0, 1, 2}), count_only);
 }
 
 TEST(AnalysisSession, ReleaseDropsTheEngine) {
@@ -390,46 +423,31 @@ TEST(RefineKernels, AllStrategiesMatchScalarAcrossCardinalityAndSkew) {
   }
 }
 
-TEST(RefineKernels, FusedMatchesChainExactly) {
+TEST(RefineKernels, CountOnlyTailMatchesMaterializedChainEntropy) {
+  // The engine's miss path refines one column at a time and, when only H
+  // is needed, takes the last step count-only. That step must report the
+  // entropy of the partition the materializing step would have built.
   Rng rng(921);
   const uint32_t kRows = 500;
   for (int trial = 0; trial < 10; ++trial) {
     const size_t k = 2 + static_cast<size_t>(rng.UniformU64(3));  // 2..4
     std::vector<Column> cols;
-    std::vector<const Column*> ptrs;
-    uint32_t product = 1;
     for (size_t j = 0; j < k; ++j) {
       const uint32_t card = 2 + static_cast<uint32_t>(rng.UniformU64(7));
       cols.push_back(SyntheticColumn(&rng, kRows, card,
                                      rng.Bernoulli(0.5) ? 0.0 : 2.0));
-      product *= card;
     }
-    for (const Column& c : cols) ptrs.push_back(&c);
-    Partition base =
+    Partition penultimate =
         Partition::OfColumn(SyntheticColumn(&rng, kRows, 6, 0.0));
-
-    // The reference chain, one RefinedBy per column in order.
-    Partition chain = base;
-    for (size_t j = 0; j < k; ++j) chain = chain.RefinedBy(cols[j]);
-    Partition chain_penultimate = base;
     for (size_t j = 0; j + 1 < k; ++j) {
-      chain_penultimate = chain_penultimate.RefinedBy(cols[j]);
+      penultimate = penultimate.RefinedBy(cols[j]);
     }
-    const double chain_h =
-        chain_penultimate.RefinedEntropy(cols[k - 1], kRows);
-
-    ExpectSamePartition(chain, base.RefinedByAll(ptrs.data(), k, product),
-                        "RefinedByAll k=" + std::to_string(k));
-    EXPECT_EQ(chain_h,
-              base.RefinedEntropyAll(ptrs.data(), k, product, kRows))
-        << "RefinedEntropyAll k=" << k;
-
-    if (k == 2) {
-      Partition fin;
-      const double fin_h = base.RefinedByWithEntropy(
-          cols[0], cols[1], product, kRows, &fin);
-      ExpectSamePartition(chain_penultimate, fin, "RefinedByWithEntropy");
-      EXPECT_EQ(chain_h, fin_h) << "RefinedByWithEntropy entropy";
+    const Partition chain = penultimate.RefinedBy(cols[k - 1]);
+    for (RefineKernel kernel : {RefineKernel::kDense, RefineKernel::kMid,
+                                RefineKernel::kSort, RefineKernel::kAuto}) {
+      EXPECT_NEAR(penultimate.RefinedEntropy(cols[k - 1], kRows, kernel),
+                  chain.EntropyNats(kRows), 1e-12)
+          << "k=" << k << " kernel=" << static_cast<int>(kernel);
     }
   }
 }
@@ -458,28 +476,6 @@ TEST(Partition, OfColumnNearKeySortPathMatchesCountingConstruction) {
   Partition via_refine =
       Partition::Trivial(kRows).RefinedBy(col, RefineKernel::kDense);
   ExpectSamePartition(via_refine, via_of_column, "near-key OfColumn");
-}
-
-TEST(ColumnStore, ComposeColumnsInducesTheChainGrouping) {
-  // A materialized composite column must group rows exactly like refining
-  // by its parts in sequence: same stripped mass, same block multiset —
-  // OfColumn emits composite-code order rather than chain order, so
-  // compare the order-free quantities (mass, block count, entropy).
-  Rng rng(926);
-  Relation r = testing_util::RandomTestRelation(&rng, 3, 4, 120);
-  ColumnStore store(&r);
-  Column composite = store.ComposeColumns({0, 2});
-  EXPECT_EQ(composite.cardinality,
-            store.column(0).cardinality * store.column(2).cardinality);
-  Partition via_composite = Partition::OfColumn(composite);
-  Partition via_chain =
-      Partition::OfColumn(store.column(0)).RefinedBy(store.column(2));
-  EXPECT_EQ(via_chain.NumStrippedRows(), via_composite.NumStrippedRows());
-  EXPECT_EQ(via_chain.NumBlocks(), via_composite.NumBlocks());
-  // Block ORDER differs between the two, so the c ln c accumulation order
-  // does too: compare to fp tolerance, not bitwise.
-  EXPECT_NEAR(via_chain.EntropyNats(r.NumRows()),
-              via_composite.EntropyNats(r.NumRows()), 1e-12);
 }
 
 TEST(ColumnStore, DistinctSketchSeparatesSkewFromUniform) {
@@ -519,28 +515,6 @@ TEST(ColumnStore, DistinctSketchSeparatesSkewFromUniform) {
   // exactly the ordering signal the engine uses.
   EXPECT_LT(s.EstimateDistinct(256, kCard),
             0.8 * u.EstimateDistinct(256, kCard));
-}
-
-TEST(EntropyEngine, ForcedAndPressureFusionPreserveValues) {
-  Rng rng(924);
-  Relation r = RandomMultisetRelation(&rng, 6, 3, 300);
-  // Forced fusion: every multi-column tail is applied as one composite
-  // pass. Values must match the reference path to fp tolerance.
-  EngineOptions forced;
-  forced.max_fuse_columns = 4;
-  EntropyEngine fused_engine(&r, forced);
-  // Pressure-gated fusion: a tiny partition budget keeps the cache under
-  // eviction pressure, which turns adaptive fusion on mid-run.
-  EngineOptions tiny;
-  tiny.cache_budget_bytes = 2048;
-  EntropyEngine pressured(&r, tiny);
-  for (uint32_t m = 1; m < 64; ++m) {
-    AttrSet attrs = AttrSet::FromMask(m);
-    const double want = EntropyOf(r, attrs);
-    EXPECT_NEAR(fused_engine.Entropy(attrs), want, 1e-9) << attrs.ToString();
-    EXPECT_NEAR(pressured.Entropy(attrs), want, 1e-9) << attrs.ToString();
-  }
-  EXPECT_GT(fused_engine.Stats().fused_refinements, 0u);
 }
 
 // --- Shared WorkerPool (engine/worker_pool.h) ---------------------------

@@ -537,9 +537,9 @@ TEST(EpochPartition, KernelCrossoverMidExtensionMatchesColdRebuild) {
 
 struct EngineCase {
   const char* name;
-  uint32_t max_fuse_columns;
   size_t session_budget;  // 0 = private per-engine budgets (no arbiter)
   size_t engine_budget;
+  bool must_evict;        // the budget is small enough to force evictions
 };
 
 // Replays the recorded chain of a cached partition cold over the full
@@ -574,14 +574,16 @@ void VerifyCachedPartitionsAgainstColdReplay(EntropyEngine* engine,
 
 TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
   const EngineCase cases[] = {
-      {"adaptive-arbiter", 0, size_t{64} << 20, size_t{64} << 20},
-      {"nofuse-private", 1, 0, size_t{64} << 20},
-      {"forced-fuse-arbiter", 4, size_t{64} << 20, size_t{64} << 20},
-      {"tiny-arbiter-evicting", 0, size_t{6} << 10, size_t{6} << 10},
-      {"tiny-private-evicting", 2, 0, size_t{6} << 10},
+      {"arbiter", size_t{64} << 20, size_t{64} << 20, false},
+      {"private", 0, size_t{64} << 20, false},
+      {"tiny-arbiter", size_t{6} << 10, size_t{6} << 10, false},
+      {"tiny-private", 0, size_t{6} << 10, false},
+      {"arbiter-evicting", size_t{1} << 10, size_t{1} << 10, true},
+      {"private-evicting", 0, size_t{1} << 10, true},
   };
   Rng rng(7300);
   for (const EngineCase& c : cases) {
+    uint64_t evictions = 0;
     for (int trial = 0; trial < 6; ++trial) {
       const uint32_t num_attrs =
           3 + static_cast<uint32_t>(rng.UniformU64(3));
@@ -593,7 +595,6 @@ TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
       Relation r = RelationFromRows(num_attrs, first);
 
       SessionOptions opts;
-      opts.engine.max_fuse_columns = c.max_fuse_columns;
       opts.engine.cache_budget_bytes = c.engine_budget;
       opts.cache_budget_bytes = c.session_budget;
       AnalysisSession session(opts);
@@ -627,7 +628,9 @@ TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
       if (session.cache_arbiter() != nullptr) {
         EXPECT_LE(session.CacheBytes(), c.session_budget) << c.name;
       }
+      evictions += engine.Stats().evictions;
     }
+    if (c.must_evict) EXPECT_GT(evictions, 0u) << c.name;
   }
 }
 
@@ -896,29 +899,52 @@ TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
 }
 
 TEST(EpochEngine, ExtensionAndReplayPathsBothRun) {
-  // Sanity on the stats: a no-fuse engine with a stable cache should
-  // delta-extend its chains; a forced-fuse engine leaves chain gaps whose
-  // catch-up replays. (Exact counts are implementation detail; "the path
-  // ran" is the invariant worth pinning.)
+  // Sanity on the stats: an engine with a stable cache delta-extends its
+  // chains; one whose budget evicted a chain's ancestors replays that
+  // chain cold at catch-up. (Exact counts are implementation detail; "the
+  // path ran" is the invariant worth pinning.)
   Rng rng(7600);
   auto rows = RandomRows(&rng, 5, 4, 80);
   Relation r1 = RelationFromRows(5, rows);
-  EngineOptions nofuse;
-  nofuse.max_fuse_columns = 1;
-  EntropyEngine e1(&r1, nofuse);
+  EntropyEngine e1(&r1);
   e1.Entropy(AttrSet{0, 1, 2});
   ASSERT_TRUE(r1.AppendBatch(RandomRows(&rng, 5, 4, 40)).ok());
   e1.Entropy(AttrSet{0, 1, 2});
   EXPECT_GT(e1.Stats().partitions_extended, 0u);
 
+  // A private budget that holds the deepest partition alone: prewarming it
+  // caches its chain's ancestors first, and each insert evicts the older
+  // ones, so catch-up finds no ancestor to extend from and replays.
   Relation r2 = RelationFromRows(5, rows);
-  EngineOptions fused;
-  fused.max_fuse_columns = 4;
-  EntropyEngine e2(&r2, fused);
-  e2.PrewarmSubsets({AttrSet{0, 1, 2, 3}});
+  const AttrSet deep{0, 1, 2, 3};
+  size_t deep_bytes = 0;
+  {
+    EntropyEngine probe(&r2);
+    probe.PrewarmSubsets({deep});
+    std::vector<uint32_t> chain;
+    std::shared_ptr<const Partition> p;
+    ASSERT_TRUE(probe.CachedPartitionInfo(deep, &chain, &p));
+    deep_bytes = p->MemoryBytes();
+  }
+  EngineOptions tight;
+  tight.cache_budget_bytes = deep_bytes;
+  EntropyEngine e2(&r2, tight);
+  e2.PrewarmSubsets({deep});
+  EXPECT_GT(e2.Stats().evictions, 0u);
+  EXPECT_EQ(e2.PartitionCacheSize(), 1u);
   ASSERT_TRUE(r2.AppendBatch(RandomRows(&rng, 5, 4, 40)).ok());
-  e2.Entropy(AttrSet{0, 1, 2, 3});
+  e2.Entropy(deep);
   EXPECT_GT(e2.Stats().partitions_replayed, 0u);
+  // The replayed entry is bitwise the cold chain replay, and every value
+  // the engine serves afterwards matches a cold engine on the grown
+  // relation (to fp accumulation order: the two may chain the columns
+  // differently).
+  VerifyCachedPartitionsAgainstColdReplay(&e2, r2);
+  EntropyEngine cold(&r2);
+  for (uint64_t mask = 1; mask < 32; ++mask) {
+    const AttrSet s = AttrSet::FromMask(mask);
+    EXPECT_NEAR(e2.Entropy(s), cold.Entropy(s), 1e-12) << mask;
+  }
 }
 
 }  // namespace

@@ -191,51 +191,45 @@ TEST(RefineParallel, RefinedByShardedBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(RefineParallel, FusedShardedPathsBitIdenticalAcrossThreadCounts) {
+TEST(RefineParallel, ShardedChainWithCountOnlyTailBitIdenticalAcrossThreadCounts) {
+  // The engine's threaded miss path: a chain of sharded single-column
+  // refinements, each consuming the previous step's sharded output, ending
+  // in a sharded count-only step. Every intermediate partition and the
+  // final entropy must match the serial chain bitwise at any thread count.
   Rng rng(9502);
   WorkerPool pool;
   for (int trial = 0; trial < 3; ++trial) {
     const size_t k = 2 + static_cast<size_t>(rng.UniformU64(2));  // 2..3
     std::vector<Column> cols;
-    std::vector<const Column*> ptrs;
-    uint32_t product = 1;
     for (size_t j = 0; j < k; ++j) {
       const uint32_t card = 2 + static_cast<uint32_t>(rng.UniformU64(9));
       cols.push_back(DensifiedColumn(&rng, kBigRows, card,
                                      rng.Bernoulli(0.5) ? 0.0 : 1.5));
-      product *= cols.back().cardinality;
     }
-    for (const Column& c : cols) ptrs.push_back(&c);
-    Partition base =
+    const Partition base =
         Partition::OfColumn(DensifiedColumn(&rng, kBigRows, 11, 0.0));
     const std::string what = "trial=" + std::to_string(trial) +
                              " k=" + std::to_string(k);
 
-    Partition want = base.RefinedByAll(ptrs.data(), k, product);
-    const double want_h =
-        base.RefinedEntropyAll(ptrs.data(), k, product, kBigRows);
-    Partition want_fin;
-    const double want_fin_h =
-        k == 2 ? base.RefinedByWithEntropy(cols[0], cols[1], product,
-                                           kBigRows, &want_fin)
-               : 0.0;
+    std::vector<Partition> want = {base};
+    for (size_t j = 0; j + 1 < k; ++j) {
+      want.push_back(want.back().RefinedBy(cols[j]));
+    }
+    const double want_h = want.back().RefinedEntropy(cols[k - 1], kBigRows);
     for (uint32_t threads : ContractThreadCounts()) {
       const std::string tag = what + " threads=" + std::to_string(threads);
-      ExpectSamePartition(
-          want, base.RefinedByAllSharded(ptrs.data(), k, product, threads,
-                                         &pool),
-          tag);
-      EXPECT_EQ(want_h, base.RefinedEntropyAllSharded(ptrs.data(), k, product,
-                                                      kBigRows, threads,
-                                                      &pool))
-          << tag;
-      if (k == 2) {
-        Partition fin;
-        const double fin_h = base.RefinedByWithEntropySharded(
-            cols[0], cols[1], product, kBigRows, threads, &pool, &fin);
-        ExpectSamePartition(want_fin, fin, tag + " finale");
-        EXPECT_EQ(want_fin_h, fin_h) << tag << " finale entropy";
+      Partition cur = base;
+      for (size_t j = 0; j + 1 < k; ++j) {
+        cur = cur.RefinedBySharded(cols[j], RefineKernel::kAuto, threads,
+                                   &pool);
+        ExpectSamePartition(want[j + 1], cur,
+                            tag + " step=" + std::to_string(j));
       }
+      EXPECT_EQ(want_h,
+                cur.RefinedEntropySharded(cols[k - 1], kBigRows,
+                                          RefineKernel::kAuto, threads,
+                                          &pool))
+          << tag << " count-only tail";
     }
   }
 }
@@ -299,78 +293,16 @@ TEST(RefineScratchShed, ShedReleasesSpikesAndKeepsKernelsCorrect) {
   const size_t freed = ShedOversizedRefineScratch();
   EXPECT_GT(freed, 0u);
   EXPECT_LT(RefineScratchBytes(), before);
-  // Every per-vector capacity is now at or under the keep threshold.
-  EXPECT_LE(RefineScratchBytes(), size_t{17} * (size_t{1} << 16) * 8);
+  // Every per-vector capacity (nine scratch vectors, at most 8-byte
+  // entries) is now at or under the keep threshold.
+  EXPECT_LE(RefineScratchBytes(), size_t{9} * (size_t{1} << 16) * 8);
   // Shedding must not corrupt the scratch invariants (zeroed counters,
-  // reset lists): the same refinements replay byte-identically, including
-  // the fused path whose lazily-reset level arena is the delicate part.
+  // reset lists): the same refinements replay byte-identically.
   ExpectSamePartition(want, base.RefinedBy(big, RefineKernel::kMid),
                       "post-shed counting refinement");
-  Column a = DensifiedColumn(&rng, rows, 7, 0.0);
-  Column b = DensifiedColumn(&rng, rows, 5, 1.0);
-  const Column* cols[2] = {&a, &b};
-  Partition fused_want = base.RefinedByAll(cols, 2, 35);
-  ShedOversizedRefineScratch();
-  ExpectSamePartition(fused_want, base.RefinedByAll(cols, 2, 35),
-                      "post-shed fused refinement");
   // Repeated shed on already-small scratch is a no-op.
   ShedOversizedRefineScratch();
   EXPECT_EQ(ShedOversizedRefineScratch(), 0u);
-}
-
-TEST(RefineScratchShed, ShedDropsFusedArenaAndResetListAsPair) {
-  // Regression: ScratchGuard's spike shed swaps the fused level arena
-  // (lvl_seq) away but only clear()s its lazy-reset list (lvl_touched),
-  // which keeps the list's capacity. A later small fused call then
-  // re-dirties a SMALL arena and leaves its last block's slots pending in
-  // the still-huge list. Shedding the two buffers independently (each by
-  // its own capacity) at that point would drop the pending resets while
-  // KEEPING the dirty arena — the next fused call on this thread would
-  // read stale first-occurrence ranks with lvl_ng == 0: silently wrong
-  // leaf grouping plus an out-of-bounds counting-sort histogram in
-  // ChainOrderLeaves. The shed must treat arena + reset list as a pair.
-  Rng rng(9506);
-  Partition base_small = Partition::Trivial(1000);
-  Column a7 = DensifiedColumn(&rng, 1000, 7, 0.0);
-  Column b5 = DensifiedColumn(&rng, 1000, 5, 0.0);
-  const Column* small_cols[2] = {&a7, &b5};
-  const uint32_t small_card = a7.cardinality * b5.cardinality;
-  const Partition want = base_small.RefinedByAll(small_cols, 2, small_card);
-
-  // 1) Spike: a single-block fused refinement whose prefix column touches
-  //    > 64Ki arena slots sizes BOTH lvl_seq and lvl_touched past the keep
-  //    threshold. Capacity tracks this call's own need, so ScratchGuard's
-  //    relative spike rule keeps everything on the call itself.
-  const uint32_t rows = 800000;
-  Column wide = DensifiedColumn(&rng, rows, 70000, 0.0);
-  Column narrow = DensifiedColumn(&rng, rows, 5, 0.0);
-  ASSERT_GT(wide.cardinality, uint32_t{1} << 16);
-  const uint64_t wide_card = uint64_t{wide.cardinality} * narrow.cardinality;
-  ASSERT_LT(wide_card, uint64_t{rows} / 2) << "must stay off the sort path";
-  const Column* wide_cols[2] = {&wide, &narrow};
-  Partition::Trivial(rows).RefinedByAll(wide_cols, 2,
-                                        static_cast<uint32_t>(wide_card));
-
-  // 2) Small fused call: its ScratchGuard judges the spiked counters
-  //    against this call's tiny cardinality and sheds — swapping lvl_seq
-  //    away but only clear()ing lvl_touched (capacity survives).
-  ExpectSamePartition(want,
-                      base_small.RefinedByAll(small_cols, 2, small_card),
-                      "post-spike small fused");
-
-  // 3) Another small fused call re-dirties the now-small arena and leaves
-  //    its block's slots PENDING in the still-oversized reset list.
-  ExpectSamePartition(want,
-                      base_small.RefinedByAll(small_cols, 2, small_card),
-                      "re-dirty small fused");
-
-  // 4) Park-shed, then replay: with the pair invariant respected the
-  //    replay is byte-identical; an independent per-vector shed reads
-  //    stale ranks here.
-  ShedOversizedRefineScratch();
-  ExpectSamePartition(want,
-                      base_small.RefinedByAll(small_cols, 2, small_card),
-                      "post-shed small fused replay");
 }
 
 TEST(RefineScratchShed, PoolThreadsShedScratchWhenParking) {
